@@ -371,7 +371,7 @@ let loadgen_bench ?(participants = 1_000_000) ?(duration_s = 32.0)
      gate the nondeterministic vcload.rejected counter at qor-tol 0%. *)
   let p99_ms, shed =
     ( (match report.Loadgen.rp_latency with
-      | Some s -> 1e3 *. s.Vc_util.Journal_query.l_p99_s
+      | Some s -> 1e3 *. s.Vc_util.Hist.p99_s
       | None -> 0.0),
       report.Loadgen.rp_shed_rate )
   in

@@ -265,7 +265,6 @@ let timing_with_wires (m : Map.mapping) wire_tbl =
    latency also lands on the "flow.<stage>" telemetry timer. *)
 let run_stage name f =
   let module J = Vc_util.Journal in
-  Vc_util.Telemetry.define_histogram ("flow." ^ name);
   J.emit ~component:"flow" ~attrs:[ ("stage", name) ] "stage.begin";
   let t0 = Vc_util.Telemetry.now () in
   match f () with

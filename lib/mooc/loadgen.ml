@@ -1,4 +1,5 @@
 module JQ = Vc_util.Journal_query
+module Hist = Vc_util.Hist
 
 type config = {
   lg_host : string;
@@ -22,15 +23,15 @@ type report = {
   rp_rejected_by_label : (string * int) list;
   rp_errors : int;
   rp_shed_rate : float;
-  rp_latency : JQ.latency_stats option;
-  rp_by_outcome : (string * JQ.latency_stats) list;
+  rp_latency : Hist.summary option;
+  rp_by_outcome : (string * Hist.summary) list;
 }
 
 (* One client domain's tallies; merged after the join. *)
 type partial = {
-  mutable p_executed : float list;
-  mutable p_cache_hit : float list;
-  mutable p_rejected : float list;
+  p_executed : Hist.t;
+  p_cache_hit : Hist.t;
+  p_rejected : Hist.t;
   mutable p_labels : (string * int) list;
   mutable p_errors : int;
 }
@@ -67,9 +68,9 @@ let journal_request ~trace ~tool ~outcome ~latency_s ?reason () =
 let run_client config t0 client_idx =
   let p =
     {
-      p_executed = [];
-      p_cache_hit = [];
-      p_rejected = [];
+      p_executed = Hist.create ();
+      p_cache_hit = Hist.create ();
+      p_rejected = Hist.create ();
       p_labels = [];
       p_errors = 0;
     }
@@ -100,17 +101,17 @@ let run_client config t0 client_idx =
               let latency_s = Unix.gettimeofday () -. target in
               (match classify status with
               | `Executed ->
-                p.p_executed <- latency_s :: p.p_executed;
+                Hist.add p.p_executed latency_s;
                 Vc_util.Telemetry.incr "vcload.executed";
                 journal_request ~trace ~tool:it.Trace.it_tool
                   ~outcome:"executed" ~latency_s ()
               | `Cache_hit ->
-                p.p_cache_hit <- latency_s :: p.p_cache_hit;
+                Hist.add p.p_cache_hit latency_s;
                 Vc_util.Telemetry.incr "vcload.cache_hit";
                 journal_request ~trace ~tool:it.Trace.it_tool
                   ~outcome:"cache_hit" ~latency_s ()
               | `Rejected label ->
-                p.p_rejected <- latency_s :: p.p_rejected;
+                Hist.add p.p_rejected latency_s;
                 bump_label p label;
                 Vc_util.Telemetry.incr "vcload.rejected";
                 journal_request ~trace ~tool:it.Trace.it_tool
@@ -132,9 +133,13 @@ let run config =
   in
   let partials = List.map Domain.join domains in
   let wall_s = Unix.gettimeofday () -. t0 in
-  let executed = List.concat_map (fun p -> p.p_executed) partials in
-  let cache_hit = List.concat_map (fun p -> p.p_cache_hit) partials in
-  let rejected = List.concat_map (fun p -> p.p_rejected) partials in
+  let merged field =
+    List.fold_left (fun acc p -> Hist.merge acc (field p)) (Hist.create ())
+      partials
+  in
+  let executed = merged (fun p -> p.p_executed)
+  and cache_hit = merged (fun p -> p.p_cache_hit)
+  and rejected = merged (fun p -> p.p_rejected) in
   let errors = List.fold_left (fun a p -> a + p.p_errors) 0 partials in
   let labels =
     List.fold_left
@@ -146,15 +151,13 @@ let run config =
           acc p.p_labels)
       [] partials
   in
-  let n_exec = List.length executed
-  and n_hit = List.length cache_hit
-  and n_rej = List.length rejected in
+  let n_exec = Hist.count executed
+  and n_hit = Hist.count cache_hit
+  and n_rej = Hist.count rejected in
   let total = n_exec + n_hit + n_rej in
-  let all = executed @ cache_hit @ rejected in
   let by_outcome =
     List.filter_map
-      (fun (key, samples) ->
-        Option.map (fun s -> (key, s)) (JQ.latency_stats_of samples))
+      (fun (key, h) -> Option.map (fun s -> (key, s)) (Hist.summary h))
       [
         ("cache_hit", cache_hit); ("executed", executed); ("rejected", rejected);
       ]
@@ -179,7 +182,8 @@ let run config =
     rp_errors = errors;
     rp_shed_rate =
       (if total = 0 then 0.0 else float_of_int n_rej /. float_of_int total);
-    rp_latency = JQ.latency_stats_of all;
+    rp_latency =
+      Hist.summary (Hist.merge (Hist.merge executed cache_hit) rejected);
     rp_by_outcome = by_outcome;
   }
 
@@ -219,17 +223,6 @@ let render_report r =
 
 let report_to_json r =
   let module Json = Vc_util.Json in
-  let latency_json (s : JQ.latency_stats) =
-    Json.obj
-      [
-        ("count", Json.int s.JQ.l_count);
-        ("mean_s", Json.num s.JQ.l_mean_s);
-        ("p50_s", Json.num s.JQ.l_p50_s);
-        ("p90_s", Json.num s.JQ.l_p90_s);
-        ("p99_s", Json.num s.JQ.l_p99_s);
-        ("max_s", Json.num s.JQ.l_max_s);
-      ]
-  in
   Json.obj
     [
       (* the reproducibility header: re-running with this seed mints
@@ -253,15 +246,17 @@ let report_to_json r =
         match r.rp_latency with
         | Some all ->
           Json.obj
-            (("all", latency_json all)
-            :: List.map (fun (k, st) -> (k, latency_json st)) r.rp_by_outcome)
+            (("all", JQ.latency_json all)
+            :: List.map
+                 (fun (k, st) -> (k, JQ.latency_json st))
+                 r.rp_by_outcome)
         | None -> Json.obj [] );
     ]
 
 let set_slo_gauges r =
   (match r.rp_latency with
   | Some all ->
-    Vc_util.Telemetry.set_gauge "loadgen.slo.p99_ms" (1e3 *. all.JQ.l_p99_s)
+    Vc_util.Telemetry.set_gauge "loadgen.slo.p99_ms" (1e3 *. all.Hist.p99_s)
   | None -> ());
   Vc_util.Telemetry.set_gauge "loadgen.slo.shed_rate" r.rp_shed_rate;
   Vc_util.Telemetry.set_gauge "loadgen.offered_rps" r.rp_offered_rps;

@@ -49,11 +49,11 @@ type report = {
           [deadline], [runaway], ...), sorted. *)
   rp_errors : int;  (** Transport failures (connection reset, ...). *)
   rp_shed_rate : float;  (** Rejected / total (0 when total is 0). *)
-  rp_latency : Vc_util.Journal_query.latency_stats option;
-  rp_by_outcome : (string * Vc_util.Journal_query.latency_stats) list;
+  rp_latency : Vc_util.Hist.summary option;
+  rp_by_outcome : (string * Vc_util.Hist.summary) list;
       (** Keyed [executed] / [cache_hit] / [rejected], sorted - the
-          same stats record [vcstat summary] computes offline, via the
-          shared {!Vc_util.Journal_query.latency_stats_of}. *)
+          same {!Vc_util.Hist} summary [vcstat summary] computes
+          offline. *)
 }
 
 val run : config -> report

@@ -498,7 +498,6 @@ let set_cache_dir dirname =
 
 let submit_result session tool input =
   let pre = "portal." ^ tool.tool_name in
-  T.define_histogram (pre ^ ".latency");
   T.incr (pre ^ ".submits");
   let t0 = T.now () in
   let outcome =

@@ -249,10 +249,6 @@ let start ?(config = default_config) () =
     invalid_arg "Server.start: at least one worker required";
   if config.queue_capacity < 0 then
     invalid_arg "Server.start: negative queue capacity";
-  T.define_histogram "server.queue_wait";
-  List.iter
-    (fun phase -> T.define_histogram ("server.phase." ^ phase))
-    [ "queue"; "cache"; "execute"; "reply" ];
   T.set_gauge "server.queue_depth" 0.0;
   T.set_gauge "server.queue_depth.hwm" 0.0;
   T.set_gauge "server.workers.busy" 0.0;

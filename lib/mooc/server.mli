@@ -101,9 +101,9 @@ val default_config : config
 type t
 
 val start : ?config:config -> unit -> t
-(** Spawn the worker domains and return the running server. Defines the
-    [server.queue_wait] histogram, zeroes the [server.queue_depth]
-    gauge and emits a [server.start] journal event.
+(** Spawn the worker domains and return the running server. Zeroes the
+    [server.queue_depth] gauge and emits a [server.start] journal
+    event.
     @raise Invalid_argument on [workers < 1] or a negative
     [queue_capacity]. *)
 

@@ -75,12 +75,11 @@ let load_file file =
       { events = List.rev !events; malformed = List.rev !malformed })
 
 let load_files files =
-  List.fold_left
-    (fun acc file ->
-      let l = load_file file in
-      { events = acc.events @ l.events; malformed = acc.malformed @ l.malformed })
-    { events = []; malformed = [] }
-    files
+  let loads = List.map load_file files in
+  {
+    events = List.concat_map (fun l -> l.events) loads;
+    malformed = List.concat_map (fun l -> l.malformed) loads;
+  }
 
 (* ------------------------------------------------------------------ *)
 (* segment-set expansion                                               *)
@@ -137,29 +136,6 @@ let expand_segments args =
 let latency_of (e : Journal.event) =
   Option.bind (List.assoc_opt "latency_s" e.Journal.ev_attrs) float_of_string_opt
 
-type latency_stats = {
-  l_count : int;
-  l_mean_s : float;
-  l_p50_s : float;
-  l_p90_s : float;
-  l_p99_s : float;
-  l_max_s : float;
-}
-
-let latency_stats_of samples =
-  match samples with
-  | [] -> None
-  | _ ->
-    Some
-      {
-        l_count = List.length samples;
-        l_mean_s = Stats.mean samples;
-        l_p50_s = Stats.percentile samples 50.0;
-        l_p90_s = Stats.percentile samples 90.0;
-        l_p99_s = Stats.percentile samples 99.0;
-        l_max_s = Stats.maximum samples;
-      }
-
 type summary = {
   s_total : int;
   s_by_component : (string * int) list;  (** Sorted by name. *)
@@ -171,9 +147,9 @@ type summary = {
   s_seq_max : int;
   s_seq_distinct : int;  (** Distinct sequence numbers seen. *)
   s_seq_gaps : int;  (** Missing seqs within [min..max]; 0 = no loss. *)
-  s_latency : latency_stats option;  (** Over every latency-bearing event. *)
-  s_latency_by_event : (string * latency_stats) list;
-  s_latency_by_outcome : (string * latency_stats) list;
+  s_latency : Hist.summary option;  (** Over every latency-bearing event. *)
+  s_latency_by_event : (string * Hist.summary) list;
+  s_latency_by_outcome : (string * Hist.summary) list;
   s_slowest : (Journal.event * float) list;  (** Slowest first. *)
 }
 
@@ -183,6 +159,21 @@ let bump tbl key =
 let sorted_counts tbl =
   List.sort compare (Hashtbl.fold (fun k v acc -> (k, v) :: acc) tbl [])
 
+(* Add [v] to the histogram under [key], creating it on first use. *)
+let observe_into tbl key v =
+  match Hashtbl.find_opt tbl key with
+  | Some h -> Hist.add h v
+  | None ->
+    let h = Hist.create () in
+    Hist.add h v;
+    Hashtbl.add tbl key h
+
+let summaries tbl =
+  Hashtbl.fold
+    (fun k h acc ->
+      match Hist.summary h with Some s -> (k, s) :: acc | None -> acc)
+    tbl []
+
 let event_key (e : Journal.event) =
   e.Journal.ev_component ^ "." ^ e.Journal.ev_name
 
@@ -190,18 +181,12 @@ let summarize ?(top = 5) events =
   let by_component = Hashtbl.create 16
   and by_event = Hashtbl.create 16
   and by_severity = Hashtbl.create 4
-  and by_event_latency : (string, float list ref) Hashtbl.t = Hashtbl.create 16
-  and by_outcome_latency : (string, float list ref) Hashtbl.t =
-    Hashtbl.create 8
+  and by_event_latency = Hashtbl.create 16
+  and by_outcome_latency = Hashtbl.create 8
   and seqs = Hashtbl.create 1024
-  and latencies = ref []
+  and latencies = Hist.create ()
   and timed = ref []
   and errors = ref 0 in
-  let push tbl key l =
-    match Hashtbl.find_opt tbl key with
-    | Some r -> r := l :: !r
-    | None -> Hashtbl.add tbl key (ref [ l ])
-  in
   List.iter
     (fun (e : Journal.event) ->
       bump by_component e.Journal.ev_component;
@@ -212,14 +197,14 @@ let summarize ?(top = 5) events =
       match latency_of e with
       | None -> ()
       | Some l ->
-        latencies := l :: !latencies;
+        Hist.add latencies l;
         timed := (e, l) :: !timed;
-        push by_event_latency (event_key e) l;
+        observe_into by_event_latency (event_key e) l;
         (* submission/replay events carry an "outcome" attribute
            (executed / cache_hit / rejected) - the split an operator
            needs to see whether shed traffic hides a slow tail *)
         (match List.assoc_opt "outcome" e.Journal.ev_attrs with
-        | Some outcome -> push by_outcome_latency outcome l
+        | Some outcome -> observe_into by_outcome_latency outcome l
         | None -> ()))
     events;
   let total = List.length events in
@@ -255,23 +240,9 @@ let summarize ?(top = 5) events =
     s_seq_distinct = seq_distinct;
     s_seq_gaps =
       (if seq_distinct = 0 then 0 else seq_max - seq_min + 1 - seq_distinct);
-    s_latency = latency_stats_of !latencies;
-    s_latency_by_event =
-      List.sort compare
-        (Hashtbl.fold
-           (fun k r acc ->
-             match latency_stats_of !r with
-             | Some s -> (k, s) :: acc
-             | None -> acc)
-           by_event_latency []);
-    s_latency_by_outcome =
-      List.sort compare
-        (Hashtbl.fold
-           (fun k r acc ->
-             match latency_stats_of !r with
-             | Some s -> (k, s) :: acc
-             | None -> acc)
-           by_outcome_latency []);
+    s_latency = Hist.summary latencies;
+    s_latency_by_event = List.sort compare (summaries by_event_latency);
+    s_latency_by_outcome = List.sort compare (summaries by_outcome_latency);
     s_slowest = slowest;
   }
 
@@ -586,12 +557,8 @@ let join_requests events =
   }
 
 let phase_breakdown join =
-  let tbl : (string, float list ref) Hashtbl.t = Hashtbl.create 8 in
-  let push name v =
-    match Hashtbl.find_opt tbl name with
-    | Some r -> r := v :: !r
-    | None -> Hashtbl.add tbl name (ref [ v ])
-  in
+  let tbl = Hashtbl.create 8 in
+  let push = observe_into tbl in
   List.iter
     (fun t ->
       List.iter (fun (name, d) -> push name d) t.rt_phases;
@@ -599,12 +566,7 @@ let phase_breakdown join =
       Option.iter (push "wire") t.rt_wire_s;
       Option.iter (push "client") t.rt_client_s)
     join.rj_timelines;
-  Hashtbl.fold
-    (fun name r acc ->
-      match latency_stats_of !r with
-      | Some s -> (name, s) :: acc
-      | None -> acc)
-    tbl []
+  summaries tbl
   |> List.sort (fun (a, _) (b, _) ->
          compare (phase_rank a, a) (phase_rank b, b))
 
@@ -614,9 +576,9 @@ let phase_breakdown join =
 
 let ms v = v *. 1e3
 
-let render_latency_line name (s : latency_stats) =
-  Printf.sprintf "  %-28s %6d %9.3f %9.3f %9.3f %9.3f\n" name s.l_count
-    (ms s.l_p50_s) (ms s.l_p90_s) (ms s.l_p99_s) (ms s.l_max_s)
+let render_latency_line name (s : Hist.summary) =
+  Printf.sprintf "  %-28s %6d %9.3f %9.3f %9.3f %9.3f\n" name s.count
+    (ms s.p50_s) (ms s.p90_s) (ms s.p99_s) (ms s.max_s)
 
 let render_summary s =
   let b = Buffer.create 1024 in
@@ -722,15 +684,15 @@ let render_funnel stages =
 (* renderers: JSON                                                     *)
 (* ------------------------------------------------------------------ *)
 
-let latency_json (s : latency_stats) =
+let latency_json (s : Hist.summary) =
   Json.obj
     [
-      ("count", Json.int s.l_count);
-      ("mean_s", Json.num s.l_mean_s);
-      ("p50_s", Json.num s.l_p50_s);
-      ("p90_s", Json.num s.l_p90_s);
-      ("p99_s", Json.num s.l_p99_s);
-      ("max_s", Json.num s.l_max_s);
+      ("count", Json.int s.count);
+      ("mean_s", Json.num s.mean_s);
+      ("p50_s", Json.num s.p50_s);
+      ("p90_s", Json.num s.p90_s);
+      ("p99_s", Json.num s.p99_s);
+      ("max_s", Json.num s.max_s);
     ]
 
 let summary_to_json s =

@@ -61,21 +61,6 @@ val latency_of : Journal.event -> float option
     numeric - carried by portal ["submission"] and flow ["stage.end"]
     events. *)
 
-type latency_stats = {
-  l_count : int;
-  l_mean_s : float;
-  l_p50_s : float;  (** Nearest-rank ({!Stats.percentile}). *)
-  l_p90_s : float;
-  l_p99_s : float;
-  l_max_s : float;
-}
-
-val latency_stats_of : float list -> latency_stats option
-(** Aggregate raw latency samples (seconds); [None] on the empty list.
-    The shared percentile path: [vcstat summary] and the [vcload]
-    replay report both go through this, so their numbers agree by
-    construction. *)
-
 type summary = {
   s_total : int;
   s_by_component : (string * int) list;  (** Sorted by name. *)
@@ -94,12 +79,12 @@ type summary = {
           a positive value means part of the journal is missing - the
           lost-segment detector behind the crash-recovery smoke
           check. *)
-  s_latency : latency_stats option;
+  s_latency : Hist.summary option;
       (** Across every latency-bearing event; [None] if there are
           none. *)
-  s_latency_by_event : (string * latency_stats) list;
+  s_latency_by_event : (string * Hist.summary) list;
       (** Per [component.event], sorted. *)
-  s_latency_by_outcome : (string * latency_stats) list;
+  s_latency_by_outcome : (string * Hist.summary) list;
       (** Per ["outcome"] attribute value ([executed] / [cache_hit] /
           [rejected]), over latency-bearing events that carry one -
           portal submissions and vcload replay requests. Sorted. *)
@@ -174,7 +159,7 @@ val join_requests : Journal.event list -> request_join
     ["request.dequeued"] / ["job.rejected.*"] so shed or half-finished
     requests still join. *)
 
-val phase_breakdown : request_join -> (string * latency_stats) list
+val phase_breakdown : request_join -> (string * Hist.summary) list
 (** Aggregate percentiles per phase across all timelines, in canonical
     order: the server phases ([queue], [cache], [execute], [reply]),
     then the derived [server] / [wire] / [client] end-to-end rows, then
@@ -195,7 +180,7 @@ val funnel_of : Journal.event list -> funnel_stage list
     renderers produce machine-readable documents through {!Json} (these
     are what [vcstat --format json] prints). *)
 
-val render_latency_line : string -> latency_stats -> string
+val render_latency_line : string -> Hist.summary -> string
 (** One aligned [name count p50 p90 p99 max] row (milliseconds) - the
     row format shared by {!render_summary} and the vcload replay
     report. *)
@@ -208,6 +193,11 @@ val render_spans : qspan list -> string
 val render_funnel : funnel_stage list -> string
 (** One line per stage with the count, percent-of-start,
     percent-of-previous and a proportional bar. *)
+
+val latency_json : Hist.summary -> string
+(** One latency object: [count], [mean_s], [p50_s], [p90_s], [p99_s]
+    and [max_s] - the shape shared by {!summary_to_json},
+    {!requests_to_json} and the [vcload] replay report. *)
 
 val summary_to_json : summary -> string
 (** Fields [events], [errors], [error_rate], [seq] (an object with
@@ -227,7 +217,7 @@ val render_requests : ?top:int -> request_join -> string
 
 val requests_to_json : ?top:int -> request_join -> string
 (** Fields [client_requests], [server_requests], [matched],
-    [match_rate], [phases] (one {!latency_stats} object per phase, keys
+    [match_rate], [phases] (one {!latency_json} object per phase, keys
     as in {!phase_breakdown}) and [slowest] (per-request timelines with
     [trace_id], [tool], [outcome], [client_s]/[server_s]/[wire_s] and a
     [phases] object). *)

@@ -1,21 +1,22 @@
 (* Global instrumentation state, sharded per domain for multicore
-   scaling. Every domain owns a private cell of counters, timer samples,
-   gauges and completed spans (reached through [Domain.DLS]); the
-   renderers merge all cells lazily on the way out.
+   scaling. Every domain owns a private cell of counters, timer
+   histograms, gauges and completed spans (reached through
+   [Domain.DLS]); the renderers merge all cells lazily on the way out.
 
    Domain safety: the per-job fast path is lock-free for the owning
    domain - a counter bump is one [Atomic.fetch_and_add] on a cell the
-   owner already created, a timer sample is a cons onto an immutable
-   list published with a single ref store. The only lock a writer can
-   touch is its own cell mutex, taken once per (domain, metric-name)
-   pair when the name is first seen - structurally growing the cell's
-   hashtable must not race with a renderer walking it. Renderers take
-   each cell's mutex in turn while folding; the short global mutex [mu]
-   guards only the cell registry, the histogram-definition registry and
-   the probe registry (all touched at registration/render time, never
-   per job). Lock ordering: [mu] is never held while a cell mutex is
-   taken within a single operation, and nothing in this module calls
-   back out, so telemetry locks are always innermost.
+   owner already created, a timer sample is one [Hist.add] into a
+   fixed-size histogram only the owner writes (readers merge it into a
+   fresh copy before using it). The only lock a writer can touch is its
+   own cell mutex, taken once per (domain, metric-name) pair when the
+   name is first seen - structurally growing the cell's hashtable must
+   not race with a renderer walking it. Renderers take each cell's mutex
+   in turn while folding; the short global mutex [mu] guards only the
+   cell registry and the probe registry (both touched at
+   registration/render time, never per job). Lock ordering: [mu] is
+   never held while a cell mutex is taken within a single operation,
+   and nothing in this module calls back out, so telemetry locks are
+   always innermost.
 
    [reset] empties every registered cell; it assumes the quiescence any
    exact-counting reader needs anyway (domains that raced a reset may
@@ -49,7 +50,7 @@ type span = {
 type cells = {
   c_mu : Mutex.t; (* guards structural growth of the tables below *)
   c_counters : (string, int Atomic.t) Hashtbl.t;
-  c_timers : (string, float list ref) Hashtbl.t; (* newest first *)
+  c_timers : (string, Hist.t) Hashtbl.t;
   c_gauges : (string, (int * float) ref) Hashtbl.t; (* (stamp, value) *)
   mutable c_spans : span list; (* completed roots, newest first *)
 }
@@ -122,7 +123,7 @@ let counters () =
 (* timers                                                              *)
 (* ------------------------------------------------------------------ *)
 
-type timer_summary = {
+type timer_summary = Hist.summary = {
   count : int;
   total_s : float;
   mean_s : float;
@@ -136,115 +137,24 @@ type timer_summary = {
 let observe name dt =
   let c = my_cells () in
   match Hashtbl.find_opt c.c_timers name with
-  | Some l -> l := dt :: !l (* publish one immutable cons; lock-free *)
+  | Some h -> Hist.add h dt (* only the owner writes its histograms *)
   | None ->
-    Mutex.protect c.c_mu (fun () -> Hashtbl.add c.c_timers name (ref [ dt ]))
+    let h = Hist.create () in
+    Hist.add h dt;
+    Mutex.protect c.c_mu (fun () -> Hashtbl.add c.c_timers name h)
 
-(* Merged raw samples for one name. Order across domains is
-   unspecified; every consumer (percentiles, bucketing) is
-   order-insensitive. *)
-let timer_samples name =
-  fold_cells
-    (fun acc c ->
-      match Hashtbl.find_opt c.c_timers name with
-      | Some l -> List.rev_append !l acc
-      | None -> acc)
-    []
-
-let all_timer_samples () =
+let timer_hists () =
   let tbl = Hashtbl.create 64 in
   fold_cells
     (fun () c ->
       Hashtbl.iter
-        (fun k l ->
-          let s = !l in
-          match Hashtbl.find_opt tbl k with
-          | Some r -> r := List.rev_append s !r
-          | None -> Hashtbl.add tbl k (ref s))
+        (fun k h ->
+          let acc = Hashtbl.find_opt tbl k in
+          let acc = Option.value ~default:(Hist.create ()) acc in
+          Hashtbl.replace tbl k (Hist.merge acc h))
         c.c_timers)
     ();
-  Hashtbl.fold (fun k r acc -> (k, !r) :: acc) tbl []
-
-(* ------------------------------------------------------------------ *)
-(* histograms                                                          *)
-(* ------------------------------------------------------------------ *)
-
-(* Fixed-bucket histograms exist for the Prometheus exposition: a scrape
-   wants pre-bucketed counts, not the raw sample list. A histogram is an
-   upgrade of a timer - [define_histogram name] registers a bucket
-   layout, and the scrape-time renderers bucket the merged raw samples
-   on demand. Nothing happens on the per-observation hot path, and
-   "backfill" is automatic: the buckets are always computed from every
-   sample the timer ever recorded, whenever the definition arrived. *)
-
-type hist_summary = {
-  buckets : (float * int) list; (* (upper bound, cumulative count) *)
-  hist_sum : float;
-  hist_count : int;
-}
-
-(* Latency-oriented: the portal tools answer in microseconds to tens of
-   milliseconds; the full flow runs for seconds on big designs. *)
-let default_buckets =
-  [
-    1e-5; 2.5e-5; 5e-5; 1e-4; 2.5e-4; 5e-4; 1e-3; 2.5e-3; 5e-3; 1e-2; 2.5e-2;
-    5e-2; 0.1; 0.25; 0.5; 1.0; 2.5; 5.0; 10.0;
-  ]
-
-(* name -> strictly increasing upper bounds; guarded by mu *)
-let hist_defs : (string, float array) Hashtbl.t = Hashtbl.create 16
-
-let define_histogram ?(buckets = default_buckets) name =
-  (match buckets with
-  | [] -> invalid_arg "Telemetry.define_histogram: no buckets"
-  | _ ->
-    List.iter2
-      (fun a b ->
-        if b <= a then
-          invalid_arg "Telemetry.define_histogram: buckets not increasing")
-      (List.filteri (fun i _ -> i < List.length buckets - 1) buckets)
-      (List.tl buckets));
-  locked (fun () ->
-      if not (Hashtbl.mem hist_defs name) then
-        Hashtbl.add hist_defs name (Array.of_list buckets))
-
-let bucketize bounds samples =
-  let n = Array.length bounds in
-  let counts = Array.make n 0 in
-  let sum = ref 0.0 and total = ref 0 in
-  List.iter
-    (fun v ->
-      sum := !sum +. v;
-      Stdlib.incr total;
-      (* first bucket whose upper bound contains v; linear scan is fine
-         for ~20 buckets at scrape time *)
-      let rec place i =
-        if i >= n then () (* over-range: counted only in total (+Inf) *)
-        else if v <= bounds.(i) then counts.(i) <- counts.(i) + 1
-        else place (i + 1)
-      in
-      place 0)
-    samples;
-  let cum = ref 0 in
-  let buckets =
-    Array.to_list
-      (Array.mapi
-         (fun i bound ->
-           cum := !cum + counts.(i);
-           (bound, !cum))
-         bounds)
-  in
-  { buckets; hist_sum = !sum; hist_count = !total }
-
-let histogram name =
-  match locked (fun () -> Hashtbl.find_opt hist_defs name) with
-  | None -> None
-  | Some bounds -> Some (bucketize bounds (timer_samples name))
-
-let histograms () =
-  locked (fun () -> Hashtbl.fold (fun k b acc -> (k, b) :: acc) hist_defs [])
-  |> List.map (fun (k, bounds) -> (k, bucketize bounds (timer_samples k)))
-  |> List.sort compare
+  List.sort compare (Hashtbl.fold (fun k h acc -> (k, h) :: acc) tbl [])
 
 (* ------------------------------------------------------------------ *)
 (* gauges                                                              *)
@@ -305,28 +215,12 @@ let time name f =
     observe name (elapsed_since t0);
     raise e
 
-(* All descriptive statistics come from Vc_util.Stats - the one
-   percentile/stddev implementation shared with Journal_query and the
-   bench report printers. *)
-let summarize samples =
-  {
-    count = List.length samples;
-    total_s = List.fold_left ( +. ) 0.0 samples;
-    mean_s = Stats.mean samples;
-    p50_s = Stats.percentile samples 50.0;
-    p90_s = Stats.percentile samples 90.0;
-    p99_s = Stats.percentile samples 99.0;
-    max_s = Stats.maximum samples;
-    stddev_s = Stats.stddev samples;
-  }
-
-let timer name =
-  match timer_samples name with [] -> None | samples -> Some (summarize samples)
+let timer name = Option.bind (List.assoc_opt name (timer_hists ())) Hist.summary
 
 let timers () =
-  all_timer_samples ()
-  |> List.map (fun (k, l) -> (k, summarize l))
-  |> List.sort compare
+  List.filter_map
+    (fun (k, h) -> Option.map (fun s -> (k, s)) (Hist.summary h))
+    (timer_hists ())
 
 (* ------------------------------------------------------------------ *)
 (* trace spans: recording                                              *)
@@ -477,19 +371,6 @@ let summary_json s =
       ("stddev_s", jfloat s.stddev_s);
     ]
 
-let hist_json h =
-  jobj
-    [
-      ( "buckets",
-        jarr
-          (List.map
-             (fun (le, c) ->
-               jobj [ ("le", jfloat le); ("cumulative", string_of_int c) ])
-             h.buckets) );
-      ("sum", jfloat h.hist_sum);
-      ("count", string_of_int h.hist_count);
-    ]
-
 let to_json () =
   jobj
     [
@@ -497,8 +378,6 @@ let to_json () =
         jobj (List.map (fun (k, v) -> (k, string_of_int v)) (counters ())) );
       ("gauges", jobj (List.map (fun (k, v) -> (k, jfloat v)) (gauges ())));
       ("timers", jobj (List.map (fun (k, s) -> (k, summary_json s)) (timers ())));
-      ( "histograms",
-        jobj (List.map (fun (k, h) -> (k, hist_json h)) (histograms ())) );
       ( "probes",
         jobj
           (List.map
@@ -570,37 +449,22 @@ let to_prometheus () =
       family n "gauge" (Printf.sprintf "Telemetry gauge %s." k);
       Buffer.add_string b (Printf.sprintf "%s %s\n" n (prom_float v)))
     (gauges ());
-  let hists = histograms () in
+  (* every timer is one histogram family, bucketed at the octave edges *)
   List.iter
     (fun (k, h) ->
       let n = prom_name k ^ "_seconds" in
-      family n "histogram" (Printf.sprintf "Histogram %s (seconds)." k);
+      family n "histogram" (Printf.sprintf "Timer %s (seconds)." k);
       List.iter
         (fun (le, c) ->
           Buffer.add_string b
             (Printf.sprintf "%s_bucket{le=\"%s\"} %d\n" n (prom_float le) c))
-        h.buckets;
+        (Hist.buckets h);
       Buffer.add_string b
-        (Printf.sprintf "%s_bucket{le=\"+Inf\"} %d\n" n h.hist_count);
-      Buffer.add_string b (Printf.sprintf "%s_sum %s\n" n (prom_float h.hist_sum));
-      Buffer.add_string b (Printf.sprintf "%s_count %d\n" n h.hist_count))
-    hists;
-  (* timers that were not upgraded to histograms still appear, as
-     summaries with exact quantiles off the raw samples *)
-  List.iter
-    (fun (k, s) ->
-      if not (List.mem_assoc k hists) then begin
-        let n = prom_name k ^ "_seconds" in
-        family n "summary" (Printf.sprintf "Timer %s (seconds)." k);
-        List.iter
-          (fun (q, v) ->
-            Buffer.add_string b
-              (Printf.sprintf "%s{quantile=\"%s\"} %s\n" n q (prom_float v)))
-          [ ("0.5", s.p50_s); ("0.9", s.p90_s); ("0.99", s.p99_s) ];
-        Buffer.add_string b (Printf.sprintf "%s_sum %s\n" n (prom_float s.total_s));
-        Buffer.add_string b (Printf.sprintf "%s_count %d\n" n s.count)
-      end)
-    (timers ());
+        (Printf.sprintf "%s_bucket{le=\"+Inf\"} %d\n" n (Hist.count h));
+      Buffer.add_string b
+        (Printf.sprintf "%s_sum %s\n" n (prom_float (Hist.sum h)));
+      Buffer.add_string b (Printf.sprintf "%s_count %d\n" n (Hist.count h)))
+    (timer_hists ());
   Buffer.contents b
 
 (* ------------------------------------------------------------------ *)
@@ -616,7 +480,6 @@ let reset () =
           Hashtbl.reset c.c_gauges;
           c.c_spans <- []))
     (snapshot_cells ());
-  locked (fun () -> Hashtbl.reset hist_defs);
   (* only the calling domain's open-span stack can be cleared - other
      domains own theirs *)
   Domain.DLS.get span_stack_key := []

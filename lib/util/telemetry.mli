@@ -15,14 +15,16 @@
     gauge writes and completed spans into its {e own} per-domain cells
     ([Domain.DLS]), so {!Vc_mooc.Server}'s worker domains instrument
     without contending on a shared lock - the steady-state {!incr} /
-    {!observe} / {!set_gauge} path is lock-free (an atomic op or a list
-    push on domain-owned storage). The read side ({!counter},
+    {!observe} / {!set_gauge} path is lock-free (an atomic op or an
+    O(1) store into domain-owned storage). Each timer is one {!Hist}
+    per domain: memory per timer is constant however many samples it
+    records, and its percentiles are within {!Hist.relative_error}
+    (1/64) of the exact nearest-rank ones. The read side ({!counter},
     {!timers}, {!report}, {!to_json}, {!to_prometheus}, ...) merges all
-    domains' cells on demand: counters sum, timer samples concatenate,
-    gauges resolve last-write-wins via a global version stamp, and
-    histogram buckets are computed lazily from the merged samples at
-    render time. Trace spans nest on a per-domain stack ({!with_span}
-    trees never interleave across domains); completed top-level spans
+    domains' cells on demand: counters sum, timer histograms add,
+    gauges resolve last-write-wins via a global version stamp. Trace
+    spans nest on a per-domain stack ({!with_span} trees never
+    interleave across domains); completed top-level spans
     stay in their domain's cell and are merged (ordered by start time)
     by {!spans}. See [docs/CONCURRENCY.md] for the full model.
     Everything here is plain OCaml + the [unix] library shipped with
@@ -52,62 +54,30 @@ val time : string -> (unit -> 'a) -> 'a
 val observe : string -> float -> unit
 (** Record an externally measured duration (seconds) as a sample. *)
 
-type timer_summary = {
+type timer_summary = Hist.summary = {
   count : int;  (** Number of recorded samples. *)
   total_s : float;  (** Sum of all samples, seconds. *)
   mean_s : float;
-  p50_s : float;  (** Median, nearest-rank ({!Stats.percentile}). *)
+  p50_s : float;
+      (** Median, nearest-rank, within {!Hist.relative_error} of
+          {!Stats.percentile}. *)
   p90_s : float;
   p99_s : float;  (** Tail latency, nearest-rank. *)
   max_s : float;
-  stddev_s : float;  (** Population standard deviation ({!Stats.stddev}). *)
+  stddev_s : float;  (** Population standard deviation. *)
 }
 
 val timer : string -> timer_summary option
-(** Summary of a timer's samples; [None] if no sample was recorded. *)
+(** Summary of a timer's samples; [None] if no sample was recorded.
+    Count, total, mean, max and stddev are exact. *)
 
 val timers : unit -> (string * timer_summary) list
 (** All timers with at least one sample, sorted by name. *)
 
-(** {1 Histograms}
-
-    A histogram upgrades a timer: {!define_histogram} attaches
-    fixed-bucket counts to a timer name, after which every
-    {!observe}/{!time} sample on that name feeds both the raw sample
-    list (so {!timer} percentiles stay exact) and the buckets (so the
-    Prometheus exposition can serve a proper [_bucket] family that
-    aggregates across processes). The portal, flow and grader latency
-    paths define histograms on their timers at startup. *)
-
-val default_buckets : float list
-(** The default latency bucket upper bounds, in seconds: 19 bounds in a
-    1-2.5-5 progression from 10 microseconds to 10 seconds. *)
-
-val define_histogram : ?buckets:float list -> string -> unit
-(** [define_histogram name] declares fixed buckets for the named timer.
-    [buckets] (default {!default_buckets}) are inclusive upper bounds
-    and must be strictly increasing; an implicit [+Inf] bucket is always
-    present. Samples already recorded on the timer are back-filled into
-    the buckets; calling it again for the same name is a no-op (the
-    first bucket layout wins).
-    @raise Invalid_argument if [buckets] is empty or not strictly
-    increasing. *)
-
-type hist_summary = {
-  buckets : (float * int) list;
-      (** [(upper_bound, cumulative_count)] per declared bucket -
-          cumulative as in the Prometheus exposition, each count
-          includes all smaller buckets. *)
-  hist_sum : float;  (** Sum of all observed values, seconds. *)
-  hist_count : int;  (** Total observations, including over-range. *)
-}
-
-val histogram : string -> hist_summary option
-(** Current bucket state of a defined histogram; [None] if
-    {!define_histogram} was never called for the name. *)
-
-val histograms : unit -> (string * hist_summary) list
-(** All defined histograms, sorted by name. *)
+val timer_hists : unit -> (string * Hist.t) list
+(** Every timer's histogram merged across domains, sorted by name - a
+    cumulative snapshot. {!Timeseries} diffs two of these to get a
+    window's percentiles. *)
 
 (** {1 Gauges}
 
@@ -177,8 +147,7 @@ val to_json : unit -> string
 (** The same data as {!report} as a JSON object with fields
     ["counters"], ["gauges"], ["timers"] (per-timer objects with
     [count], [total_s], [mean_s], [p50_s], [p90_s], [p99_s], [max_s],
-    [stddev_s]), ["histograms"] (per-histogram [buckets]/[sum]/[count]),
-    ["probes"] and ["spans"] (the count of top-level spans).
+    [stddev_s]), ["probes"] and ["spans"] (the count of top-level spans).
     Machine-readable; [bench/main.ml] writes it to
     [BENCH_portal.json]. *)
 
@@ -193,23 +162,21 @@ val to_prometheus : unit -> string
     non-alphanumerics mapped to [_] and a [vc_] prefix. Counters and
     probe readings become [counter] families suffixed [_total] (plus
     [vc_journal_events_total] from {!Journal.event_count}); gauges
-    become [gauge] families; timers with a defined histogram become
-    [histogram] families suffixed [_seconds] with cumulative
-    [_bucket{le="..."}] series, an explicit [+Inf] bucket, [_sum] and
-    [_count]; remaining timers are rendered as [summary] families with
-    exact [quantile="0.5"/"0.9"/"0.99"] series computed from the raw
-    samples. *)
+    become [gauge] families; every timer becomes a [histogram] family
+    suffixed [_seconds] with cumulative [_bucket{le="..."}] series at
+    the {!Hist.buckets} octave edges, an explicit [+Inf] bucket, [_sum]
+    and [_count]. *)
 
 (** {1 Control} *)
 
 val reset : unit -> unit
-(** Clear counters, gauges, timer samples, histogram definitions and
-    recorded spans across {e all} domains' cells. Registered probes and
-    the clock survive (their counters live in their own modules). Only
-    the calling domain's open-span stack is cleared; other domains own
-    theirs. Call while other domains are quiescent (between test cases,
-    between bench configurations) - a racing writer may land an update
-    in a cell that was already cleared. *)
+(** Clear counters, gauges, timer samples and recorded spans across
+    {e all} domains' cells. Registered probes and the clock survive
+    (their counters live in their own modules). Only the calling
+    domain's open-span stack is cleared; other domains own theirs. Call
+    while other domains are quiescent (between test cases, between
+    bench configurations) - a racing writer may land an update in a
+    cell that was already cleared. *)
 
 val set_clock : (unit -> float) -> unit
 (** Replace the time source (default [Unix.gettimeofday]) - an alias of

@@ -170,7 +170,8 @@ type source =
       (** delta(num)/delta(den) since last tick; skipped while the
           denominator is idle *)
   | Percentiles of string
-      (** timer -> [name.p50_ms] and [name.p99_ms] series *)
+      (** timer -> [name.p50_ms] and [name.p99_ms] series over the
+          samples since last tick; skipped while the timer is idle *)
   | Utilization of { prefix : string; suffix : string }
       (** every timer [prefix*suffix] -> a [<base>.util] series: the
           per-second rate of its accumulated total, i.e. busy fraction *)
@@ -220,6 +221,7 @@ type sampler = {
   sp_sources : source list;
   sp_profile : bool;
   sp_prev : (string, float) Hashtbl.t; (* last counter/total snapshots *)
+  sp_hists : (string, Hist.t) Hashtbl.t; (* last timer snapshots *)
   mutable sp_last_ts : float;
   sp_stop : bool Atomic.t;
   mutable sp_domain : unit Domain.t option;
@@ -245,7 +247,7 @@ let snap_delta t key cur =
   cur -. prev
 
 let sample_sources t ~now ~dt =
-  let counts = Telemetry.counters () in
+  let counts = Telemetry.counters () and hists = Telemetry.timer_hists () in
   List.iter
     (fun src ->
       match src with
@@ -260,21 +262,34 @@ let sample_sources t ~now ~dt =
         let dn = snap_delta t (series ^ "#n") (float_of_int (sum_counters counts num)) in
         let dd = snap_delta t (series ^ "#d") (float_of_int (sum_counters counts den)) in
         if dd > 0.0 then record ~ts:now series (Float.max 0.0 dn /. dd)
-      | Percentiles name -> (
-        match Telemetry.timer name with
-        | None -> ()
-        | Some s ->
-          record ~ts:now (name ^ ".p50_ms") (1e3 *. s.Telemetry.p50_s);
-          record ~ts:now (name ^ ".p99_ms") (1e3 *. s.Telemetry.p99_s))
+      | Percentiles name ->
+        Option.iter
+          (fun cur ->
+            (* the window is the difference of two cumulative snapshots -
+               the same delta trick as the counter sources; a snapshot
+               that shrank means telemetry was reset, so it is a window
+               itself *)
+            let w =
+              match Hashtbl.find_opt t.sp_hists name with
+              | Some prev when Hist.count prev <= Hist.count cur ->
+                Hist.diff cur prev
+              | _ -> cur
+            in
+            Hashtbl.replace t.sp_hists name cur;
+            if Hist.count w > 0 then begin
+              record ~ts:now (name ^ ".p50_ms") (1e3 *. Hist.quantile w 50.0);
+              record ~ts:now (name ^ ".p99_ms") (1e3 *. Hist.quantile w 99.0)
+            end)
+          (List.assoc_opt name hists)
       | Utilization { prefix; suffix } ->
         List.iter
-          (fun (name, (s : Telemetry.timer_summary)) ->
+          (fun (name, h) ->
             if
               String.starts_with ~prefix name
               && String.ends_with ~suffix name
               && String.length name > String.length prefix + String.length suffix
             then begin
-              let d = snap_delta t (name ^ "#u") s.Telemetry.total_s in
+              let d = snap_delta t (name ^ "#u") (Hist.sum h) in
               if dt > 0.0 then
                 let base =
                   String.sub name 0 (String.length name - String.length suffix)
@@ -282,7 +297,7 @@ let sample_sources t ~now ~dt =
                 record ~ts:now (base ^ ".util")
                   (Float.min 1.0 (Float.max 0.0 d /. dt))
             end)
-          (Telemetry.timers ()))
+          hists)
     t.sp_sources
 
 let tick t =
@@ -313,6 +328,7 @@ let create ?(profile = true) ?(sources = server_sources) ~interval () =
       sp_sources = sources;
       sp_profile = profile;
       sp_prev = Hashtbl.create 16;
+      sp_hists = Hashtbl.create 8;
       sp_last_ts = Clock.now ();
       sp_stop = Atomic.make false;
       sp_domain = None;
@@ -320,7 +336,7 @@ let create ?(profile = true) ?(sources = server_sources) ~interval () =
   in
   (* prime the delta snapshots so the first tick measures "since the
      sampler started", not "since the process started" *)
-  let counts = Telemetry.counters () in
+  let counts = Telemetry.counters () and hists = Telemetry.timer_hists () in
   List.iter
     (fun src ->
       match src with
@@ -332,7 +348,10 @@ let create ?(profile = true) ?(sources = server_sources) ~interval () =
           (float_of_int (sum_counters counts num));
         Hashtbl.replace t.sp_prev (series ^ "#d")
           (float_of_int (sum_counters counts den))
-      | Gauge _ | Percentiles _ | Utilization _ -> ())
+      | Percentiles name ->
+        Option.iter (Hashtbl.replace t.sp_hists name)
+          (List.assoc_opt name hists)
+      | Gauge _ | Utilization _ -> ())
     sources;
   register_routes ();
   t

@@ -75,8 +75,11 @@ type source =
       (** delta(num)/delta(den) since the previous tick; no point is
           recorded while the denominator is idle *)
   | Percentiles of string
-      (** timer [name] -> [name.p50_ms] / [name.p99_ms] series over the
-          run-cumulative samples *)
+      (** timer [name] -> [name.p50_ms] / [name.p99_ms] series: the
+          percentiles of the samples recorded since the previous tick
+          (the {!Hist.diff} of two cumulative snapshots), within
+          {!Hist.relative_error}; no point is recorded for an idle
+          window *)
   | Utilization of { prefix : string; suffix : string }
       (** every timer named [prefix<id>suffix] -> a [prefix<id>.util]
           series: the per-second growth rate of its accumulated total,

@@ -272,7 +272,7 @@ let server_tests =
         check Alcotest.bool "journal event" true
           (has_journal_event "job.rejected.deadline");
         check Alcotest.bool "queue wait was still recorded" true
-          (T.histogram "server.queue_wait" <> None));
+          (T.timer "server.queue_wait" <> None));
     tc "runaway inputs reach the portal guard through the server" (fun () ->
         fresh ();
         let srv =

@@ -20,6 +20,15 @@ module Regress = Vc_util.Regress
 let parse_json = Json.parse
 let obj_field = Json.member
 
+(* Timer and journal percentiles come from Vc_util.Hist: within its
+   stated relative error of the exact nearest-rank Stats.percentile over
+   the same samples. *)
+let check_quantile what samples p actual =
+  let exact = Vc_util.Stats.percentile samples p in
+  if Float.abs (actual -. exact) > Vc_util.Hist.relative_error *. exact then
+    Alcotest.failf "%s: %g is not within %g of the exact %g" what actual
+      Vc_util.Hist.relative_error exact
+
 (* Install a clock returning the given readings in order (then repeating
    the last one), run [f], and restore the wall clock. *)
 let with_fake_clock readings f =
@@ -57,7 +66,7 @@ let telemetry_tests =
         | Some s ->
           check Alcotest.int "count" 3 s.T.count;
           check (Alcotest.float 1e-9) "total" 0.060 s.T.total_s;
-          check (Alcotest.float 1e-9) "p50" 0.020 s.T.p50_s;
+          check_quantile "p50" [ 0.010; 0.020; 0.030 ] 50.0 s.T.p50_s;
           check (Alcotest.float 1e-9) "max" 0.030 s.T.max_s);
     tc "time records one sample per call and returns the value" (fun () ->
         T.reset ();
@@ -67,6 +76,23 @@ let telemetry_tests =
         match T.timer "t.f" with
         | Some s -> check Alcotest.int "two samples" 2 s.T.count
         | None -> Alcotest.fail "no samples");
+    tc "timer memory stays flat over 200k samples" (fun () ->
+        T.reset ();
+        (* warm the name so its per-domain histogram already exists *)
+        T.observe "t.flat" 0.001;
+        Gc.full_major ();
+        let before = (Gc.stat ()).Gc.live_words in
+        for i = 1 to 200_000 do
+          T.observe "t.flat" (float_of_int (i mod 1000) *. 1e-5)
+        done;
+        Gc.full_major ();
+        let grew = (Gc.stat ()).Gc.live_words - before in
+        if grew >= 10_000 then
+          Alcotest.failf "live heap grew by %d words over 200k samples" grew;
+        check Alcotest.bool "every sample counted" true
+          (match T.timer "t.flat" with
+          | Some s -> s.T.count = 200_001
+          | None -> false));
     tc "time records the sample even when f raises" (fun () ->
         T.reset ();
         (try T.time "t.boom" (fun () -> failwith "boom") with Failure _ -> ());
@@ -794,62 +820,12 @@ let metric_kinds_tests =
         match T.timer "t.p99" with
         | None -> Alcotest.fail "no samples"
         | Some s ->
-          check (Alcotest.float 1e-9) "p99" 0.099 s.T.p99_s;
           let samples = List.init 100 (fun i -> float_of_int (i + 1) /. 1000.0) in
+          check_quantile "p99" samples 99.0 s.T.p99_s;
           check (Alcotest.float 1e-9) "stddev matches Stats"
             (Vc_util.Stats.stddev samples) s.T.stddev_s);
-    tc "define_histogram buckets observations cumulatively" (fun () ->
-        T.reset ();
-        T.define_histogram ~buckets:[ 0.01; 0.1; 1.0 ] "h.lat";
-        T.observe "h.lat" 0.005;
-        T.observe "h.lat" 0.05;
-        T.observe "h.lat" 0.5;
-        T.observe "h.lat" 5.0;
-        (* over-range: only in the +Inf count *)
-        match T.histogram "h.lat" with
-        | None -> Alcotest.fail "histogram vanished"
-        | Some h ->
-          check
-            Alcotest.(list (pair (float 1e-9) int))
-            "cumulative buckets"
-            [ (0.01, 1); (0.1, 2); (1.0, 3) ]
-            h.T.buckets;
-          check Alcotest.int "count includes over-range" 4 h.T.hist_count;
-          check (Alcotest.float 1e-9) "sum" 5.555 h.T.hist_sum);
-    tc "define_histogram back-fills samples already recorded" (fun () ->
-        T.reset ();
-        T.observe "h.late" 0.05;
-        T.observe "h.late" 0.2;
-        T.define_histogram ~buckets:[ 0.1; 1.0 ] "h.late";
-        match T.histogram "h.late" with
-        | Some h ->
-          check
-            Alcotest.(list (pair (float 1e-9) int))
-            "back-filled" [ (0.1, 1); (1.0, 2) ] h.T.buckets
-        | None -> Alcotest.fail "not defined");
-    tc "define_histogram is idempotent and validates buckets" (fun () ->
-        T.reset ();
-        T.define_histogram ~buckets:[ 0.1 ] "h.idem";
-        T.observe "h.idem" 0.05;
-        (* second definition with different buckets must not reset *)
-        T.define_histogram ~buckets:[ 0.5; 1.0 ] "h.idem";
-        (match T.histogram "h.idem" with
-        | Some h ->
-          check
-            Alcotest.(list (pair (float 1e-9) int))
-            "first layout wins" [ (0.1, 1) ] h.T.buckets
-        | None -> Alcotest.fail "not defined");
-        check Alcotest.bool "empty buckets rejected" true
-          (match T.define_histogram ~buckets:[] "h.bad" with
-          | () -> false
-          | exception Invalid_argument _ -> true);
-        check Alcotest.bool "non-increasing rejected" true
-          (match T.define_histogram ~buckets:[ 0.5; 0.5 ] "h.bad2" with
-          | () -> false
-          | exception Invalid_argument _ -> true));
     tc "histogram observations still feed the exact timer" (fun () ->
         T.reset ();
-        T.define_histogram "h.both";
         T.observe "h.both" 0.010;
         T.observe "h.both" 0.030;
         match T.timer "h.both" with
@@ -857,27 +833,24 @@ let metric_kinds_tests =
           check Alcotest.int "timer count" 2 s.T.count;
           check (Alcotest.float 1e-9) "timer max" 0.030 s.T.max_s
         | None -> Alcotest.fail "timer missing");
-    tc "reset clears gauges and histogram definitions" (fun () ->
+    tc "reset clears gauges and histograms" (fun () ->
         T.reset ();
         T.set_gauge "g.gone" 1.0;
-        T.define_histogram "h.gone";
+        T.observe "h.gone" 0.05;
         T.reset ();
         check Alcotest.bool "gauge gone" true (T.gauge "g.gone" = None);
-        check Alcotest.bool "histogram gone" true (T.histogram "h.gone" = None));
-    tc "to_json carries gauges and histograms" (fun () ->
+        check Alcotest.bool "histogram gone" true (T.timer "h.gone" = None));
+    tc "to_json carries gauges and timers" (fun () ->
         T.reset ();
         T.set_gauge "g.j" 2.5;
-        T.define_histogram ~buckets:[ 0.1 ] "h.j";
         T.observe "h.j" 0.05;
         let j = parse_json (T.to_json ()) in
         (match obj_field "gauges" j with
         | Some g -> check Alcotest.bool "gauge value" true
             (obj_field "g.j" g = Some (Json.Num 2.5))
         | None -> Alcotest.fail "no gauges object");
-        (match obj_field "histograms" j with
-        | Some (Json.Obj [ ("h.j", h) ]) ->
-          check Alcotest.bool "count" true (obj_field "count" h = Some (Json.Num 1.0))
-        | _ -> Alcotest.fail "no histograms object");
+        check Alcotest.bool "no histograms object" true
+          (obj_field "histograms" j = None);
         match obj_field "timers" j with
         | Some (Json.Obj [ ("h.j", t) ]) ->
           check Alcotest.bool "p99 field" true (obj_field "p99_s" t <> None);
@@ -915,19 +888,23 @@ let prometheus_tests =
           (contains text "# TYPE vc_portal_cache_size gauge");
         check Alcotest.bool "sample" true
           (contains text "vc_portal_cache_size 17\n"));
-    tc "defined histograms expose _bucket/_sum/_count" (fun () ->
+    tc "timers expose _bucket/_sum/_count at octave bounds" (fun () ->
         T.reset ();
-        T.define_histogram ~buckets:[ 0.01; 0.1 ] "flow.route";
         T.observe "flow.route" 0.005;
         T.observe "flow.route" 0.05;
         T.observe "flow.route" 0.5;
         let text = T.to_prometheus () in
         check Alcotest.bool "TYPE histogram" true
           (contains text "# TYPE vc_flow_route_seconds histogram");
-        check Alcotest.bool "first bucket" true
-          (contains text "vc_flow_route_seconds_bucket{le=\"0.01\"} 1\n");
-        check Alcotest.bool "cumulative second bucket" true
-          (contains text "vc_flow_route_seconds_bucket{le=\"0.1\"} 2\n");
+        (* octave edges: 0.005 < 2^-7, 0.05 < 2^-4, 0.5 < 2^0 *)
+        check Alcotest.bool "empty low bucket" true
+          (contains text "vc_flow_route_seconds_bucket{le=\"0.00390625\"} 0\n");
+        check Alcotest.bool "first sample's octave" true
+          (contains text "vc_flow_route_seconds_bucket{le=\"0.0078125\"} 1\n");
+        check Alcotest.bool "cumulative second sample" true
+          (contains text "vc_flow_route_seconds_bucket{le=\"0.0625\"} 2\n");
+        check Alcotest.bool "cumulative third sample" true
+          (contains text "vc_flow_route_seconds_bucket{le=\"1\"} 3\n");
         check Alcotest.bool "+Inf bucket" true
           (contains text "vc_flow_route_seconds_bucket{le=\"+Inf\"} 3\n");
         check Alcotest.bool "count" true
@@ -937,20 +914,6 @@ let prometheus_tests =
         (* a histogram-backed timer must not also render as a summary *)
         check Alcotest.bool "no summary family" false
           (contains text "vc_flow_route_seconds{quantile"));
-    tc "plain timers render as summaries with exact quantiles" (fun () ->
-        T.reset ();
-        for i = 1 to 10 do
-          T.observe "t.plain" (float_of_int i /. 100.0)
-        done;
-        let text = T.to_prometheus () in
-        check Alcotest.bool "TYPE summary" true
-          (contains text "# TYPE vc_t_plain_seconds summary");
-        check Alcotest.bool "median" true
-          (contains text "vc_t_plain_seconds{quantile=\"0.5\"} 0.05\n");
-        check Alcotest.bool "p99" true
-          (contains text "vc_t_plain_seconds{quantile=\"0.99\"} 0.1\n");
-        check Alcotest.bool "count" true
-          (contains text "vc_t_plain_seconds_count 10\n"));
     tc "the journal event count is exported" (fun () ->
         T.reset ();
         Journal.clear ();
@@ -1159,11 +1122,14 @@ let journal_query_tests =
         (match s.Q.s_latency with
         | None -> Alcotest.fail "no latency stats"
         | Some l ->
-          check Alcotest.int "latency count" 100 l.Q.l_count;
-          check (Alcotest.float 1e-9) "p50" 0.050 l.Q.l_p50_s;
-          check (Alcotest.float 1e-9) "p90" 0.090 l.Q.l_p90_s;
-          check (Alcotest.float 1e-9) "p99" 0.099 l.Q.l_p99_s;
-          check (Alcotest.float 1e-9) "max" 0.100 l.Q.l_max_s);
+          let samples =
+            List.init 100 (fun i -> float_of_int (i + 1) /. 1000.0)
+          in
+          check Alcotest.int "latency count" 100 l.Vc_util.Hist.count;
+          check_quantile "p50" samples 50.0 l.Vc_util.Hist.p50_s;
+          check_quantile "p90" samples 90.0 l.Vc_util.Hist.p90_s;
+          check_quantile "p99" samples 99.0 l.Vc_util.Hist.p99_s;
+          check (Alcotest.float 1e-9) "max" 0.100 l.Vc_util.Hist.max_s);
         check Alcotest.int "top-3 slowest" 3 (List.length s.Q.s_slowest);
         match s.Q.s_slowest with
         | (e, l) :: _ ->
@@ -1349,7 +1315,7 @@ let journal_query_tests =
         (match List.assoc_opt "wire" (Q.phase_breakdown join) with
         | Some s ->
           check Alcotest.int "wire samples from matched pairs only" 2
-            s.Q.l_count
+            s.Vc_util.Hist.count
         | None -> Alcotest.fail "no wire row");
         (* the JSON document parses and carries the acceptance fields *)
         let j = parse_json (Q.requests_to_json join) in
@@ -1572,19 +1538,52 @@ let timeseries_tests =
               (match Ts.last "s.hit_rate" with
               | Some p -> p.Ts.p_value
               | None -> nan);
-            check (Alcotest.float 1e-9) "p99 in ms" 10.0
+            check_quantile "p99 in ms" [ 10.0 ] 99.0
               (match Ts.last "s.lat.p99_ms" with
               | Some p -> p.Ts.p_value
               | None -> nan);
             (* second tick with no new counts: rate falls to 0, the
-               idle ratio records no point *)
+               idle ratio and idle timer window record no point *)
             Ts.Sampler.tick sampler;
             check (Alcotest.float 1e-9) "idle rate" 0.0
               (match Ts.last "s.qps" with
               | Some p -> p.Ts.p_value
               | None -> nan);
             check Alcotest.int "ratio skipped the idle tick" 1
-              (List.length (Ts.points "s.hit_rate"))));
+              (List.length (Ts.points "s.hit_rate"));
+            check Alcotest.int "percentiles skipped the idle tick" 1
+              (List.length (Ts.points "s.lat.p99_ms"))));
+    tc "/varz phase percentiles cover the last window, not the run"
+      (fun () ->
+        T.reset ();
+        Ts.reset ();
+        with_fake_clock [ 100.0; 101.0; 102.0 ] (fun () ->
+            let sampler = Ts.Sampler.create ~profile:false ~interval:1.0 () in
+            for _ = 1 to 10_000 do
+              T.observe "server.phase.queue" 0.001
+            done;
+            Ts.Sampler.tick sampler;
+            for _ = 1 to 100 do
+              T.observe "server.phase.queue" 0.200
+            done;
+            Ts.Sampler.tick sampler;
+            (* a lifetime p99 over all 10,100 samples would still read
+               1 ms; the second window holds only the slow ones *)
+            let last_p99 =
+              match
+                Option.bind
+                  (obj_field "series" (parse_json (Ts.varz_json ())))
+                  (obj_field "server.phase.queue.p99_ms")
+              with
+              | Some (Json.Arr points) -> (
+                match List.rev points with
+                | Json.Arr [ _; Json.Num v ] :: _ -> v
+                | _ -> nan)
+              | _ -> Alcotest.fail "no server.phase.queue.p99_ms series"
+            in
+            check_quantile "window p99 (ms)" [ 200.0 ] 99.0 last_p99;
+            check Alcotest.int "one point per window" 2
+              (List.length (Ts.points "server.phase.queue.p99_ms"))));
     tc "sampler derives per-worker utilization from busy timers"
       (fun () ->
         T.reset ();

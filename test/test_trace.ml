@@ -306,7 +306,7 @@ let tracing_tests =
                 match List.assoc_opt name phases with
                 | Some s ->
                   check Alcotest.bool (name ^ " has samples") true
-                    (s.Q.l_count > 0)
+                    (s.Vc_util.Hist.count > 0)
                 | None -> Alcotest.failf "no %s phase in the breakdown" name)
               [ "queue"; "cache"; "reply"; "wire" ]));
   ]

@@ -206,6 +206,89 @@ let stats_tests =
           (Stats.bar ~width:10 20.0 10.0));
   ]
 
+(* ----------------------------- hist ---------------------------- *)
+
+module Hist = Vc_util.Hist
+
+(* positive latencies spread across the layout: e^-13 (2 us) .. e^6
+   (403 s) *)
+let latency = QCheck.map Float.exp (QCheck.float_range (-13.0) 6.0)
+let latencies = QCheck.(list_of_size Gen.(1 -- 300) latency)
+let within_error exact q =
+  Float.abs (q -. exact) <= Hist.relative_error *. exact
+let ps = List.init 21 (fun i -> 5.0 *. float_of_int i)
+
+(* same samples, as far as the histogram can tell: bucket-for-bucket
+   equal quantiles and export buckets, exact count and max; the sum may
+   differ in the last place because it was added in another order *)
+let same_samples a b =
+  Hist.count a = Hist.count b
+  && Hist.max a = Hist.max b
+  && Float.abs (Hist.sum a -. Hist.sum b) <= 1e-9 *. Float.abs (Hist.sum b)
+  && Hist.buckets a = Hist.buckets b
+  && (Hist.count b = 0
+     || List.for_all (fun p -> Hist.quantile a p = Hist.quantile b p) ps)
+
+let hist_tests =
+  [
+    prop ~count:300 "quantile is within the stated error of Stats.percentile"
+      latencies
+      (fun xs ->
+        let h = Hist.of_list xs in
+        List.for_all
+          (fun p -> within_error (Stats.percentile xs p) (Hist.quantile h p))
+          [ 50.0; 90.0; 99.0 ]);
+    prop "merge of two histograms is the histogram of both lists"
+      QCheck.(pair (list latency) (list latency))
+      (fun (a, b) ->
+        same_samples (Hist.merge (Hist.of_list a) (Hist.of_list b))
+          (Hist.of_list (a @ b)));
+    prop "diff against a prefix is the histogram of the rest"
+      QCheck.(pair (list latency) latencies)
+      (fun (a, b) ->
+        let d = Hist.diff (Hist.of_list (a @ b)) (Hist.of_list a) in
+        let h = Hist.of_list b in
+        Hist.count d = Hist.count h
+        && Hist.buckets d = Hist.buckets h
+        && List.for_all (fun p -> Hist.quantile d p = Hist.quantile h p) ps);
+    prop "count, sum and max are exact" latencies (fun xs ->
+        let h = Hist.of_list xs in
+        Hist.count h = List.length xs
+        && Hist.sum h = List.fold_left ( +. ) 0.0 xs
+        && Hist.max h = Stats.maximum xs);
+    tc "out-of-layout values and the empty histogram" (fun () ->
+        let h = Hist.create () in
+        check Alcotest.bool "empty summary" true (Hist.summary h = None);
+        Alcotest.check_raises "empty quantile"
+          (Invalid_argument "Hist.quantile: empty histogram") (fun () ->
+            ignore (Hist.quantile h 50.0));
+        check (Alcotest.float 0.0) "underflow reads 0" 0.0
+          (Hist.quantile (Hist.of_list [ 0.0; 1e-9 ]) 100.0);
+        check (Alcotest.float 0.0) "overflow reads the max" 5000.0
+          (Hist.quantile (Hist.of_list [ 2000.0; 5000.0 ]) 50.0);
+        let b = Hist.buckets (Hist.of_list [ 1e-9; 0.3; 5000.0 ]) in
+        check Alcotest.int "31 octave edges" 31 (List.length b);
+        check Alcotest.(pair (float 0.0) int) "first edge holds underflow"
+          (Float.ldexp 1.0 (-20), 1) (List.hd b);
+        check Alcotest.(pair (float 0.0) int) "overflow only in the count"
+          (1024.0, 2) (List.nth b 30));
+    tc "summary caps percentiles at the exact max" (fun () ->
+        match Hist.summary (Hist.of_list [ 0.5; 0.5 ]) with
+        | Some s ->
+          check (Alcotest.float 0.0) "p99" 0.5 s.Hist.p99_s;
+          check (Alcotest.float 0.0) "max" 0.5 s.Hist.max_s;
+          check (Alcotest.float 1e-12) "stddev" 0.0 s.Hist.stddev_s
+        | None -> Alcotest.fail "no summary");
+    tc "add allocates nothing" (fun () ->
+        let h = Hist.create () and v = 0.0123 in
+        let before = Gc.minor_words () in
+        for _ = 1 to 10_000 do
+          Hist.add h v
+        done;
+        check (Alcotest.float 0.0) "minor words" 0.0
+          (Gc.minor_words () -. before));
+  ]
+
 (* ----------------------------- tok ----------------------------- *)
 
 let tok_tests =
@@ -429,6 +512,7 @@ let () =
       ("union_find", union_find_tests);
       ("rng", rng_tests);
       ("stats", stats_tests);
+      ("hist", hist_tests);
       ("tok", tok_tests);
       ("trace_ctx", trace_ctx_tests);
       ("json", json_tests);
