@@ -164,7 +164,7 @@ let portal_bench () =
   (* the dominant MOOC workload: the same homework input uploaded over and
      over - first submission executes, the rest are cache hits *)
   let repeats = 50 in
-  T.with_span "portal-bench" (fun () ->
+  Vc_util.Span.with_ "portal-bench" (fun () ->
       List.iter
         (fun (tool, input) ->
           for _ = 1 to repeats do

@@ -312,6 +312,7 @@ let stat_disk_hits = Atomic.make 0
 
 module Store = Vc_util.Cache_store
 module J = Vc_util.Journal
+module Span = Vc_util.Span
 
 let store : Store.t option Atomic.t = Atomic.make None
 
@@ -512,12 +513,12 @@ let submit_result session tool input =
         end
         else begin
           let key = cache_key tool.tool_name input in
-          (* cache-probe and execute are timed into the ambient trace
-             context (no-ops outside a traced request), giving the
-             request timeline its cache and kernel phases *)
-          let probe_t0 = T.now () in
+          (* the cache probe and the execution are spans: under a server
+             worker they close as the request's cache and execute phases,
+             and sampler ticks fold them to "worker;cache" and
+             "worker;execute;<tool>" *)
           let probed =
-            Vc_util.Profile.with_frame "cache" (fun () ->
+            Span.with_ "cache" (fun () ->
                 match cache_find key with
                 | Some out -> Some out
                 | None -> (
@@ -531,8 +532,6 @@ let submit_result session tool input =
                     Some out
                   | None -> None))
           in
-          Vc_util.Trace_ctx.record_current_phase "cache"
-            (T.now () -. probe_t0);
           match probed with
           | Some out ->
             Atomic.incr stat_hits;
@@ -543,23 +542,10 @@ let submit_result session tool input =
             Atomic.incr stat_misses;
             T.incr "portal.cache.misses";
             T.incr (pre ^ ".executions");
-            let exec_t0 = T.now () in
             let out =
-              T.with_span
-                ~attrs:
-                  (("tool", tool.tool_name)
-                  :: Vc_util.Trace_ctx.ambient_attrs ())
-                "portal.execute"
-                (fun () ->
-                  (* sampler ticks landing here fold to
-                     "worker;execute;<tool>" - the inside-kernel
-                     attribution on the flamegraph *)
-                  Vc_util.Profile.with_frame "execute" (fun () ->
-                      Vc_util.Profile.with_frame tool.tool_name (fun () ->
-                          tool.execute input)))
+              Span.with_ "execute" (fun () ->
+                  Span.with_ tool.tool_name (fun () -> tool.execute input))
             in
-            Vc_util.Trace_ctx.record_current_phase "execute"
-              (T.now () -. exec_t0);
             cache_add key out;
             (* write-through: the result is durable the moment it is
                computed, not only when LRU pressure spills it - this is
@@ -582,7 +568,7 @@ let submit_result session tool input =
     ~severity:(match outcome with Rejected _ -> J.Error | _ -> J.Info)
     ~component:"portal"
     ~attrs:
-      (Vc_util.Trace_ctx.ambient_attrs ()
+      (Span.trace_attrs ()
       @ [
           ("tool", tool.tool_name);
           ("digest", Digest.to_hex (cache_key tool.tool_name input));

@@ -138,8 +138,11 @@ val submit_result : session -> tool -> string -> outcome
     (identical submission served from the cache, byte-for-byte the same
     output, tool not re-executed) or [portal.t.executions] (tool ran,
     result cached). Wall-clock latency is recorded on the
-    [portal.t.latency] histogram, and each real execution opens a
-    ["portal.execute"] trace span.
+    [portal.t.latency] histogram. The cache probe runs in a ["cache"]
+    {!Vc_util.Span}, and each real execution in an ["execute"] span with
+    a span named [t] inside it; under a server worker these close as
+    children of the ["worker"] span, whose trace id the submission
+    event carries.
 
     Every submission additionally emits one {!Vc_util.Journal} event
     (component ["portal"], name ["submission"]) carrying the tool name,

@@ -1,7 +1,7 @@
 module T = Vc_util.Telemetry
 module J = Vc_util.Journal
 module Tc = Vc_util.Trace_ctx
-module Prof = Vc_util.Profile
+module Span = Vc_util.Span
 
 (* ------------------------------------------------------------------ *)
 (* token bucket                                                        *)
@@ -150,7 +150,8 @@ let rec worker_loop t w =
     T.set_gauge "server.queue_depth" (float_of_int depth);
     (* per-worker busy accounting: the continuous profiler attributes
        this span to "worker;..." and the busy-time timer feeds the
-       server.worker.<w>.util series *)
+       server.worker.<w>.util series. The span carries the trace id, so
+       the portal's journal events below it join the request. *)
     T.set_gauge "server.workers.busy"
       (float_of_int (1 + Atomic.fetch_and_add t.busy 1));
     let busy_from = Unix.gettimeofday () in
@@ -161,7 +162,9 @@ let rec worker_loop t w =
           (Float.max 0.0 (Unix.gettimeofday () -. busy_from));
         T.set_gauge "server.workers.busy"
           (float_of_int (Atomic.fetch_and_add t.busy (-1) - 1)))
-      (fun () -> Prof.with_frame "worker" (fun () -> process_job t job));
+      (fun () ->
+        Span.with_ ~attrs:(Tc.to_attrs job.j_trace) "worker" (fun () ->
+            process_job t job));
     worker_loop t w
 
 and process_job t job =
@@ -169,7 +172,6 @@ and process_job t job =
     let now = T.now () in
     let wait_s = Float.max 0.0 (now -. job.j_enqueued) in
     T.observe "server.queue_wait" wait_s;
-    Tc.record_phase ctx "queue" wait_s;
     J.emit ~component:"server"
       ~attrs:
         (Tc.to_attrs ctx
@@ -203,11 +205,10 @@ and process_job t job =
         outcome
       end
       else begin
-        (* the ambient context lets the portal time its cache-probe and
-           execute phases into this request without plumbing *)
+        (* the portal's cache-probe and execute spans close as children
+           of this worker span: they are the request's middle phases *)
         let outcome =
-          Tc.with_current ctx (fun () ->
-              Portal.submit_result job.j_session job.j_tool job.j_input)
+          Portal.submit_result job.j_session job.j_tool job.j_input
         in
         count_outcome outcome;
         outcome
@@ -216,11 +217,13 @@ and process_job t job =
     (* close the timeline and journal it before waking the client, so a
        reader that observes the outcome also observes the event *)
     let total_s = Float.max 0.0 (T.now () -. job.j_enqueued) in
-    let reply_s = Float.max 0.0 (total_s -. Tc.phase_total ctx) in
-    Tc.record_phase ctx "reply" reply_s;
-    List.iter
-      (fun (name, d) -> T.observe ("server.phase." ^ name) d)
-      (Tc.phases ctx);
+    let served = Span.child_durations () in
+    let accounted = List.fold_left (fun acc (_, d) -> acc +. d) wait_s served in
+    let phases =
+      (("queue", wait_s) :: served)
+      @ [ ("reply", Float.max 0.0 (total_s -. accounted)) ]
+    in
+    List.iter (fun (name, d) -> T.observe ("server.phase." ^ name) d) phases;
     J.emit ~component:"server"
       ~attrs:
         (Tc.to_attrs ctx
@@ -234,7 +237,9 @@ and process_job t job =
               | Portal.Rejected _ -> "rejected" );
             ("total_s", Printf.sprintf "%.6f" total_s);
           ]
-        @ Tc.phase_attrs ctx)
+        @ List.map
+            (fun (name, d) -> ("phase." ^ name, Printf.sprintf "%.6f" d))
+            phases)
       "request.replied";
     Mutex.protect job.j_mu (fun () ->
         job.j_result <- Some outcome;
@@ -276,9 +281,9 @@ let start ?(config = default_config) () =
   t.domains <-
     List.init config.workers (fun w ->
         Domain.spawn (fun () ->
-            (* publish the empty frame stack before the first job, so
+            (* publish the empty span stack before the first job, so
                sampler ticks attribute worker idle time from the start *)
-            Prof.register ();
+            Span.register ();
             worker_loop t w));
   J.emit ~component:"server"
     ~attrs:

@@ -32,8 +32,11 @@
     replied event also carrying the per-phase timeline
     ([phase.queue] / [phase.cache] / [phase.execute] / [phase.reply]
     attrs, seconds) whose aggregates feed the [server.phase.<name>]
-    histograms. [vcstat request] joins these against a [vcload] client
-    journal by trace id.
+    histograms. The worker runs each job inside a ["worker"]
+    {!Vc_util.Span} whose attrs are the trace id; [cache] and [execute]
+    are that span's closed children, [queue] is measured at dequeue and
+    [reply] is the remainder of the total. [vcstat request] joins these
+    against a [vcload] client journal by trace id.
 
     {b Wake-up discipline.} The queue tracks how many workers are
     blocked idle; each admitted job signals {e one} idle worker

@@ -1,5 +1,5 @@
-(** The process-wide time source shared by {!Telemetry} (timers, trace
-    spans) and {!Journal} (event timestamps). One injectable reading so
+(** The process-wide time source shared by {!Telemetry} (timers),
+    {!Span} (trace spans) and {!Journal} (event timestamps). One injectable reading so
     deterministic tests drive both layers from a single fake clock. *)
 
 val now : unit -> float

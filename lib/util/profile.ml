@@ -1,43 +1,15 @@
-(* Continuous wall-clock profiler: every domain doing attributable work
-   publishes an ambient frame stack ("worker" / "cache" / "execute" /
-   tool name, pushed with [with_frame]), and a sampler tick walks every
-   published stack and bumps a folded-stack aggregate - the classic
-   "where is time going" histogram, collected while the service runs.
-
-   The write side is near-zero overhead: a push is one cons plus one
-   mutable-field store on the owning domain's cell, a pop restores the
-   saved list. The sampler reads [cell.stack] from another domain
-   without any lock. That read is a deliberate benign race: the field
-   always holds an immutable list, so under the OCaml 5 memory model a
-   racy read yields some previously published list (possibly one frame
-   stale, never torn). A sample is a statistical observation, so
-   staleness of one push/pop is noise, not corruption.
+(* Continuous wall-clock profiler: a sampler tick reads every live
+   domain's span stack (Span.stacks - "worker" / "cache" / "execute" /
+   tool name) and bumps a folded-stack aggregate - the classic "where is
+   time going" histogram, collected while the service runs. Reading the
+   stacks is lock-free and benign (see span.ml); a sample is a
+   statistical observation, so a stack one push or pop stale is noise,
+   not corruption.
 
    Aggregates live under their own mutex (touched once per tick, never
-   on the frame hot path). A domain with an empty stack at tick time is
-   attributed to "idle" - workers call [register] when they start so
+   on the span hot path). A domain with an empty stack at tick time is
+   attributed to "idle" - workers call Span.register when they start so
    their idle time is visible from the first tick. *)
-
-type cell = { mutable stack : string list (* newest frame first *) }
-
-let mu = Mutex.create ()
-let all_cells : cell list ref = ref []
-
-let cell_key : cell Domain.DLS.key =
-  Domain.DLS.new_key (fun () ->
-      let c = { stack = [] } in
-      Mutex.protect mu (fun () -> all_cells := c :: !all_cells);
-      c)
-
-let register () = ignore (Domain.DLS.get cell_key)
-
-let with_frame name f =
-  let c = Domain.DLS.get cell_key in
-  let saved = c.stack in
-  c.stack <- name :: saved;
-  Fun.protect ~finally:(fun () -> c.stack <- saved) f
-
-let current_stack () = List.rev (Domain.DLS.get cell_key).stack
 
 (* ------------------------------------------------------------------ *)
 (* folded-stack aggregates                                             *)
@@ -52,20 +24,19 @@ let idle_frame = "idle"
 
 let fold_of_stack = function
   | [] -> idle_frame
-  | frames -> String.concat ";" (List.rev frames)
+  | frames -> String.concat ";" frames
 
 let tick ?(journal = false) () =
-  let cells = Mutex.protect mu (fun () -> !all_cells) in
   (* group this tick's observations so the journal carries one event
      per distinct stack, not one per domain *)
   let this_tick : (string, int ref) Hashtbl.t = Hashtbl.create 8 in
   List.iter
-    (fun c ->
-      let key = fold_of_stack c.stack in
+    (fun stack ->
+      let key = fold_of_stack stack in
       match Hashtbl.find_opt this_tick key with
       | Some r -> Stdlib.incr r
       | None -> Hashtbl.add this_tick key (ref 1))
-    cells;
+    (Span.stacks ());
   let tick_no =
     Mutex.protect agg_mu (fun () ->
         Stdlib.incr tick_count;
@@ -105,9 +76,7 @@ let reset () =
       Hashtbl.reset agg;
       tick_count := 0;
       sample_count := 0);
-  (* only the caller's own stack can be cleared - other domains own
-     theirs (mirrors Telemetry.reset) *)
-  (Domain.DLS.get cell_key).stack <- []
+  Span.reset ()
 
 let to_folded_text stacks =
   let b = Buffer.create 256 in

@@ -1,7 +1,7 @@
 (* Global instrumentation state, sharded per domain for multicore
    scaling. Every domain owns a private cell of counters, timer
-   histograms, gauges and completed spans (reached through
-   [Domain.DLS]); the renderers merge all cells lazily on the way out.
+   histograms and gauges (reached through [Domain.DLS]); the renderers
+   merge all cells lazily on the way out.
 
    Domain safety: the per-job fast path is lock-free for the owning
    domain - a counter bump is one [Atomic.fetch_and_add] on a cell the
@@ -32,18 +32,6 @@ let mu = Mutex.create ()
 let locked f = Mutex.protect mu f
 
 (* ------------------------------------------------------------------ *)
-(* trace spans (type only; recording comes after the cells)            *)
-(* ------------------------------------------------------------------ *)
-
-type span = {
-  span_name : string;
-  start_s : float;
-  duration_s : float;
-  attrs : (string * string) list;
-  children : span list;
-}
-
-(* ------------------------------------------------------------------ *)
 (* per-domain cells                                                    *)
 (* ------------------------------------------------------------------ *)
 
@@ -52,7 +40,6 @@ type cells = {
   c_counters : (string, int Atomic.t) Hashtbl.t;
   c_timers : (string, Hist.t) Hashtbl.t;
   c_gauges : (string, (int * float) ref) Hashtbl.t; (* (stamp, value) *)
-  mutable c_spans : span list; (* completed roots, newest first *)
 }
 
 (* Registry of every cell ever created, newest first. Guarded by [mu]. *)
@@ -66,7 +53,6 @@ let cells_key : cells Domain.DLS.key =
           c_counters = Hashtbl.create 32;
           c_timers = Hashtbl.create 32;
           c_gauges = Hashtbl.create 16;
-          c_spans = [];
         }
       in
       locked (fun () -> all_cells := c :: !all_cells);
@@ -222,64 +208,7 @@ let timers () =
     (fun (k, h) -> Option.map (fun s -> (k, s)) (Hist.summary h))
     (timer_hists ())
 
-(* ------------------------------------------------------------------ *)
-(* trace spans: recording                                              *)
-(* ------------------------------------------------------------------ *)
-
-type open_span = {
-  o_name : string;
-  o_start : float;
-  o_attrs : (string * string) list;
-  mutable o_children : span list; (* newest first *)
-}
-
-(* Each domain nests spans on its own stack; a completed top-level span
-   lands in the owner's cell, lock-free. *)
-let span_stack_key : open_span list ref Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> ref [])
-
-let with_span ?(attrs = []) name f =
-  let span_stack = Domain.DLS.get span_stack_key in
-  let o = { o_name = name; o_start = now (); o_attrs = attrs; o_children = [] } in
-  span_stack := o :: !span_stack;
-  let finish extra =
-    (match !span_stack with _ :: rest -> span_stack := rest | [] -> ());
-    let s =
-      {
-        span_name = o.o_name;
-        start_s = o.o_start;
-        duration_s = elapsed_since o.o_start;
-        attrs = o.o_attrs @ extra;
-        children = List.rev o.o_children;
-      }
-    in
-    match !span_stack with
-    | parent :: _ -> parent.o_children <- s :: parent.o_children
-    | [] ->
-      let c = my_cells () in
-      c.c_spans <- s :: c.c_spans
-  in
-  match f () with
-  | v ->
-    finish [];
-    v
-  | exception e ->
-    finish [ ("error", Printexc.to_string e) ];
-    raise e
-
-let timed_span ?attrs name f = time name (fun () -> with_span ?attrs name f)
-
-(* Per cell the reversed list is completion order; across cells the
-   forest is ordered by start time (stable, so single-domain traces keep
-   their completion order even under a frozen test clock). *)
-let spans () =
-  snapshot_cells ()
-  |> List.rev_map (fun c -> List.rev c.c_spans)
-  |> List.concat
-  |> List.stable_sort (fun a b -> compare a.start_s b.start_s)
-
-let span_count () =
-  List.fold_left (fun n c -> n + List.length c.c_spans) 0 (snapshot_cells ())
+let timed_span ?attrs name f = time name (fun () -> Span.with_ ?attrs name f)
 
 (* ------------------------------------------------------------------ *)
 (* probes                                                              *)
@@ -348,7 +277,7 @@ let report () =
       ps
   end;
   Buffer.add_string b
-    (Printf.sprintf "trace spans recorded: %d\n" (span_count ()));
+    (Printf.sprintf "trace spans recorded: %d\n" (List.length (Span.roots ())));
   Buffer.contents b
 
 (* JSON text is built through the shared Vc_util.Json emitters, so the
@@ -384,20 +313,21 @@ let to_json () =
              (fun (name, kvs) ->
                (name, jobj (List.map (fun (k, v) -> (k, string_of_int v)) kvs)))
              (probes ())) );
-      ("spans", string_of_int (span_count ()));
+      ("spans", string_of_int (List.length (Span.roots ())));
     ]
 
-let rec span_json s =
+let rec span_json (s : Span.t) =
   jobj
     [
-      ("name", jstr s.span_name);
+      ("name", jstr s.name);
       ("start_s", jfloat s.start_s);
       ("duration_s", jfloat s.duration_s);
       ("attrs", jobj (List.map (fun (k, v) -> (k, jstr v)) s.attrs));
       ("children", jarr (List.map span_json s.children));
     ]
 
-let spans_to_json () = jobj [ ("spans", jarr (List.map span_json (spans ()))) ]
+let spans_to_json () =
+  jobj [ ("spans", jarr (List.map span_json (Span.roots ()))) ]
 
 (* ------------------------------------------------------------------ *)
 (* Prometheus text exposition                                          *)
@@ -477,12 +407,9 @@ let reset () =
       Mutex.protect c.c_mu (fun () ->
           Hashtbl.reset c.c_counters;
           Hashtbl.reset c.c_timers;
-          Hashtbl.reset c.c_gauges;
-          c.c_spans <- []))
+          Hashtbl.reset c.c_gauges))
     (snapshot_cells ());
-  (* only the calling domain's open-span stack can be cleared - other
-     domains own theirs *)
-  Domain.DLS.get span_stack_key := []
+  Span.reset ()
 
 type cli_options = {
   cli_argv : string array;

@@ -1,6 +1,6 @@
 (** Process-wide instrumentation: named counters, wall-clock timers,
-    hierarchical trace spans and pluggable kernel probes, with text and
-    JSON renderers.
+    gauges and pluggable kernel probes, with text, JSON and Prometheus
+    renderers.
 
     This is the observability substrate of the repository (see
     [docs/OBSERVABILITY.md] for a guided tour): [Vc_mooc.Portal] counts
@@ -11,24 +11,22 @@
     [--stats] and [--trace FILE] flags (see {!cli}).
 
     All state is global to the process and {e domain-safe}, and the
-    write path scales: every domain records counters, timer samples,
-    gauge writes and completed spans into its {e own} per-domain cells
-    ([Domain.DLS]), so {!Vc_mooc.Server}'s worker domains instrument
-    without contending on a shared lock - the steady-state {!incr} /
-    {!observe} / {!set_gauge} path is lock-free (an atomic op or an
-    O(1) store into domain-owned storage). Each timer is one {!Hist}
-    per domain: memory per timer is constant however many samples it
-    records, and its percentiles are within {!Hist.relative_error}
-    (1/64) of the exact nearest-rank ones. The read side ({!counter},
-    {!timers}, {!report}, {!to_json}, {!to_prometheus}, ...) merges all
-    domains' cells on demand: counters sum, timer histograms add,
-    gauges resolve last-write-wins via a global version stamp. Trace
-    spans nest on a per-domain stack ({!with_span} trees never
-    interleave across domains); completed top-level spans
-    stay in their domain's cell and are merged (ordered by start time)
-    by {!spans}. See [docs/CONCURRENCY.md] for the full model.
-    Everything here is plain OCaml + the [unix] library shipped with
-    the compiler - no third-party dependencies. *)
+    write path scales: every domain records counters, timer samples and
+    gauge writes into its {e own} per-domain cell ([Domain.DLS]), so
+    {!Vc_mooc.Server}'s worker domains instrument without contending on
+    a shared lock - the steady-state {!incr} / {!observe} / {!set_gauge}
+    path is lock-free (an atomic op or an O(1) store into domain-owned
+    storage). Each timer is one {!Hist} per domain: memory per timer is
+    constant however many samples it records, and its percentiles are
+    within {!Hist.relative_error} (1/64) of the exact nearest-rank ones.
+    The read side ({!counter}, {!timers}, {!report}, {!to_json},
+    {!to_prometheus}, ...) merges all domains' cells on demand: counters
+    sum, timer histograms add, gauges resolve last-write-wins via a
+    global version stamp. Trace spans live in {!Span} (one bounded stack
+    and ring per domain); this module renders them. See
+    [docs/CONCURRENCY.md] for the full model. Everything here is plain
+    OCaml + the [unix] library shipped with the compiler - no
+    third-party dependencies. *)
 
 (** {1 Counters} *)
 
@@ -93,32 +91,11 @@ val gauge : string -> float option
 val gauges : unit -> (string * float) list
 (** All gauges, sorted by name. *)
 
-(** {1 Trace spans}
-
-    Spans form a tree: a span opened while another is running becomes
-    its child. Completed top-level spans are kept (oldest first) until
-    {!reset}. *)
-
-type span = {
-  span_name : string;
-  start_s : float;  (** Clock reading when the span was opened. *)
-  duration_s : float;
-  attrs : (string * string) list;
-      (** User attributes; a span whose body raised also carries an
-          [("error", _)] attribute. *)
-  children : span list;  (** Oldest first. *)
-}
-
-val with_span : ?attrs:(string * string) list -> string -> (unit -> 'a) -> 'a
-(** [with_span name f] runs [f ()] inside a new span. The span is
-    recorded whether [f] returns or raises; exceptions propagate. *)
+(** {1 Trace spans} *)
 
 val timed_span : ?attrs:(string * string) list -> string -> (unit -> 'a) -> 'a
-(** {!with_span} and {!time} in one call under the same name - the
+(** {!Span.with_} and {!time} in one call under the same name - the
     convenience used by the [bin/] tools around their main work. *)
-
-val spans : unit -> span list
-(** Completed top-level spans, oldest first. *)
 
 (** {1 Kernel probes}
 
@@ -139,21 +116,22 @@ val probes : unit -> (string * (string * int) list) list
 
 val report : unit -> string
 (** Human-readable report: counters, timer summaries (milliseconds),
-    probe readings and the number of recorded trace spans. Sections with
-    no data are omitted; the probe section always appears once any probe
-    is registered. *)
+    probe readings and the number of retained trace spans
+    ({!Span.roots}). Sections with no data are omitted; the probe
+    section always appears once any probe is registered. *)
 
 val to_json : unit -> string
 (** The same data as {!report} as a JSON object with fields
     ["counters"], ["gauges"], ["timers"] (per-timer objects with
     [count], [total_s], [mean_s], [p50_s], [p90_s], [p99_s], [max_s],
-    [stddev_s]), ["probes"] and ["spans"] (the count of top-level spans).
+    [stddev_s]), ["probes"] and ["spans"] (the count of retained root
+    spans).
     Machine-readable; [bench/main.ml] writes it to
     [BENCH_portal.json]. *)
 
 val spans_to_json : unit -> string
-(** The completed span forest as [{"spans": [...]}]; each span carries
-    [name], [start_s], [duration_s], [attrs] and [children]. *)
+(** {!Span.roots} as [{"spans": [...]}]; each span carries [name],
+    [start_s], [duration_s], [attrs] and [children]. *)
 
 val to_prometheus : unit -> string
 (** The current metric state in the Prometheus text exposition format
@@ -170,13 +148,12 @@ val to_prometheus : unit -> string
 (** {1 Control} *)
 
 val reset : unit -> unit
-(** Clear counters, gauges, timer samples and recorded spans across
-    {e all} domains' cells. Registered probes and the clock survive
-    (their counters live in their own modules). Only the calling
-    domain's open-span stack is cleared; other domains own theirs. Call
-    while other domains are quiescent (between test cases, between
-    bench configurations) - a racing writer may land an update in a
-    cell that was already cleared. *)
+(** Clear counters, gauges and timer samples across {e all} domains'
+    cells, and {!Span.reset}. Registered probes and the clock survive
+    (their counters live in their own modules). Call while other
+    domains are quiescent (between test cases, between bench
+    configurations) - a racing writer may land an update in a cell that
+    was already cleared. *)
 
 val set_clock : (unit -> float) -> unit
 (** Replace the time source (default [Unix.gettimeofday]) - an alias of

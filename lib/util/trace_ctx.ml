@@ -1,18 +1,12 @@
-(* Request-scoped trace context: a short hex id minted from Rng, an
-   optional parent id, and a mutable per-phase duration list. The
-   ambient context is per-domain (Domain.DLS): the server worker
-   installs the job's context around Portal.submit_result, and the
-   portal records its cache-probe / execute phases into whatever
-   context is current without threading it through every signature. *)
+(* Request-scoped trace identity: a short hex id minted from Rng and an
+   optional parent id. The id travels down a request's stack as the
+   attrs of its root span (Span.trace_attrs), so this module only mints,
+   validates and renders ids. *)
 
 let id_length = 16
 let hex = "0123456789abcdef"
 
-type t = {
-  id : string;
-  parent : string option;
-  mutable phases : (string * float) list;  (* newest first *)
-}
+type t = { id : string; parent : string option }
 
 let scheme =
   Printf.sprintf
@@ -27,51 +21,10 @@ let mint rng = String.init id_length (fun _ -> hex.[Rng.int rng 16])
 
 let mint_deterministic ~seed ~seq = mint (Rng.create ((seed lsl 24) lxor seq))
 
-let make ?parent id = { id; parent; phases = [] }
+let make ?parent id = { id; parent }
 
 let of_id ?parent id = if is_valid_id id then Some (make ?parent id) else None
-
-let id t = t.id
-let parent t = t.parent
 
 let to_attrs t =
   ("trace_id", t.id)
   :: (match t.parent with Some p -> [ ("trace_parent", p) ] | None -> [])
-
-(* ------------------------------------------------------------------ *)
-(* phases                                                              *)
-(* ------------------------------------------------------------------ *)
-
-(* Phases are recorded by whichever single domain is executing the
-   request at that moment (client -> worker hand-off is sequenced by
-   the job's mutex), so the unsynchronized mutable list is safe. *)
-let record_phase t name dur =
-  t.phases <- (name, Float.max 0.0 dur) :: t.phases
-
-let phases t = List.rev t.phases
-
-let phase_total t =
-  List.fold_left (fun acc (_, d) -> acc +. d) 0.0 t.phases
-
-let phase_attrs t =
-  List.map (fun (n, d) -> ("phase." ^ n, Printf.sprintf "%.6f" d)) (phases t)
-
-(* ------------------------------------------------------------------ *)
-(* ambient (per-domain) context                                        *)
-(* ------------------------------------------------------------------ *)
-
-let current_key : t option ref Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> ref None)
-
-let current () = !(Domain.DLS.get current_key)
-
-let with_current t f =
-  let cell = Domain.DLS.get current_key in
-  let saved = !cell in
-  cell := Some t;
-  Fun.protect ~finally:(fun () -> cell := saved) f
-
-let ambient_attrs () = match current () with Some t -> to_attrs t | None -> []
-
-let record_current_phase name dur =
-  match current () with Some t -> record_phase t name dur | None -> ()

@@ -1,21 +1,19 @@
-(** Request-scoped trace context - the identity that end-to-end request
+(** Request-scoped trace identity - the id that end-to-end request
     tracing propagates from [vcload] through the [vcserve] wire protocol
     into the portal and its kernels.
 
     A context is a short hex {e trace id} (minted from {!Rng}, or
-    accepted from a client), an optional parent id, and a mutable list
-    of named {e phase} durations (queue wait, cache probe, kernel
-    execution, ...) accumulated while the request is serviced. Every
-    journal event on the request's path carries the id as a [trace_id]
+    accepted from a client) and an optional parent id. Every journal
+    event on the request's path carries the id as a [trace_id]
     attribute, which is what [vcstat request] joins client and server
     journals on.
 
-    {b Ambient propagation.} Rather than threading the context through
-    every signature between the server and the kernels, the worker
-    domain installs it with {!with_current} and downstream code
-    ({!Portal}) reads it back with {!current} / {!ambient_attrs} /
-    {!record_current_phase}. The slot is per-domain ([Domain.DLS]), so
-    concurrent workers never see each other's context. *)
+    {b Propagation.} The server worker opens the request's root span
+    with {!to_attrs} as its attrs ({!Span.with_}); code deeper in the
+    stack, such as the portal, reads them back with {!Span.trace_attrs}
+    instead of having the context threaded through every signature. The
+    request's phase timeline is the root span's children
+    ({!Span.child_durations}). *)
 
 type t
 
@@ -42,49 +40,11 @@ val is_valid_id : string -> bool
     a [TRACE] operand. *)
 
 val make : ?parent:string -> string -> t
-(** Wrap an id (not validated) in a fresh context with no phases. *)
+(** Wrap an id (not validated) in a context. *)
 
 val of_id : ?parent:string -> string -> t option
 (** {!make} after {!is_valid_id}; [None] on an invalid id. *)
 
-val id : t -> string
-val parent : t -> string option
-
 val to_attrs : t -> (string * string) list
 (** [("trace_id", id)] plus [("trace_parent", p)] when present - the
     attrs every event on the request path carries. *)
-
-(** {1 Phases} *)
-
-val record_phase : t -> string -> float -> unit
-(** Append a named duration (clamped [>= 0]) to the context's timeline.
-    Phases are recorded by the single domain servicing the request at
-    that moment; the hand-offs between domains are already sequenced by
-    the job's completion mutex. *)
-
-val phases : t -> (string * float) list
-(** Recorded phases, oldest first. *)
-
-val phase_total : t -> float
-(** Sum of the recorded phase durations. *)
-
-val phase_attrs : t -> (string * string) list
-(** One [("phase.<name>", "%.6f")] attr per recorded phase, oldest
-    first - the shape [request.replied] journal events carry and
-    [vcstat request] parses back. *)
-
-(** {1 Ambient (per-domain) context} *)
-
-val with_current : t -> (unit -> 'a) -> 'a
-(** Install [t] as this domain's current context for the duration of
-    the callback (restoring the previous one after, exceptions
-    included). *)
-
-val current : unit -> t option
-
-val ambient_attrs : unit -> (string * string) list
-(** {!to_attrs} of the current context, or [[]] outside any request. *)
-
-val record_current_phase : string -> float -> unit
-(** {!record_phase} on the current context; a no-op outside any
-    request, so instrumented code needs no caller checks. *)

@@ -662,6 +662,150 @@ let stress_inputs =
          ]))
   @ [ (Portal.minisat, "p cnf 3 3\n1 2 0\n-1 3 0\n-2 -3 0") ]
 
+(* ------------------------------------------------------------------ *)
+(* the request timeline through a real server                          *)
+(* ------------------------------------------------------------------ *)
+
+module Prof = Vc_util.Profile
+module Span = Vc_util.Span
+
+let phase_names attrs =
+  List.filter_map
+    (fun (k, _) -> if String.starts_with ~prefix:"phase." k then Some k else None)
+    attrs
+
+let events_named component name =
+  List.filter_map
+    (fun e ->
+      if e.Journal.ev_component = component && e.Journal.ev_name = name then
+        Some e.Journal.ev_attrs
+      else None)
+    (Journal.events ())
+
+let timeline_tests =
+  [
+    tc "a traced miss and hit: profile stack, phase order, joined trace id"
+      (fun () ->
+        fresh ();
+        Prof.reset ();
+        (* the profiler samples from inside the kernel call, so the
+           worker's stack is exactly worker;execute;<tool> at that tick *)
+        let ticking =
+          {
+            Portal.tool_name = "ticking";
+            description = "samples the profiler while it executes";
+            max_input_lines = 3;
+            execute =
+              (fun s ->
+                Prof.tick ();
+                "ticked: " ^ s);
+          }
+        in
+        let srv =
+          Server.start
+            ~config:{ Server.default_config with Server.workers = 1 }
+            ()
+        in
+        let submit () =
+          Server.submit srv
+            (Portal.request ~trace:"feedc0de" ~session:"s" ticking "x")
+        in
+        (match submit () with
+        | Portal.Executed _ -> ()
+        | _ -> Alcotest.fail "first submission should execute");
+        (match submit () with
+        | Portal.Cache_hit _ -> ()
+        | _ -> Alcotest.fail "second submission should hit the cache");
+        Server.stop srv;
+        check Alcotest.bool "worker;execute;ticking sampled" true
+          (List.mem_assoc "worker;execute;ticking" (Prof.folded ()));
+        let traced attrs = List.assoc_opt "trace_id" attrs = Some "feedc0de" in
+        (match events_named "server" "request.replied" with
+        | [ miss; hit ] ->
+          check
+            Alcotest.(list string)
+            "miss phases"
+            [ "phase.queue"; "phase.cache"; "phase.execute"; "phase.reply" ]
+            (phase_names miss);
+          check
+            Alcotest.(list string)
+            "hit phases"
+            [ "phase.queue"; "phase.cache"; "phase.reply" ]
+            (phase_names hit);
+          List.iter
+            (fun attrs ->
+              check Alcotest.bool "replied carries the trace id" true
+                (traced attrs);
+              (* reply is the remainder, so the phases add up to the total *)
+              let num k = float_of_string (List.assoc k attrs) in
+              List.iter
+                (fun k ->
+                  check Alcotest.string (k ^ " is %.6f seconds")
+                    (Printf.sprintf "%.6f" (num k))
+                    (List.assoc k attrs))
+                (phase_names attrs);
+              let sum =
+                List.fold_left (fun acc k -> acc +. num k) 0.0
+                  (phase_names attrs)
+              in
+              check (Alcotest.float 1e-5) "phases sum to total_s"
+                (num "total_s") sum)
+            [ miss; hit ]
+        | l ->
+          Alcotest.fail
+            (Printf.sprintf "%d request.replied events" (List.length l)));
+        let submissions = events_named "portal" "submission" in
+        check Alcotest.int "two submissions" 2 (List.length submissions);
+        List.iter
+          (fun attrs ->
+            check Alcotest.bool "submission carries the trace id" true
+              (traced attrs))
+          submissions);
+    tc "spans stay bounded over 100k executed submissions" (fun () ->
+        fresh ();
+        Portal.set_cache_capacity 16;
+        let traced = Vc_util.Trace_ctx.(to_attrs (make "feedc0de")) in
+        (* each call is a miss under a traced worker span, from a fresh
+           session so no history accumulates *)
+        let run lo hi =
+          for i = lo to hi - 1 do
+            Span.with_ ~attrs:traced "worker" (fun () ->
+                ignore
+                  (Portal.submit_result (Portal.create_session ()) echo
+                     (distinct_input i)))
+          done
+        in
+        run 0 1_000 (* warm: fills the span ring, the cache and the timers *);
+        let live_words () =
+          Gc.full_major ();
+          (Gc.stat ()).Gc.live_words
+        in
+        let before = live_words () in
+        run 1_000 101_000;
+        let grew = live_words () - before in
+        check Alcotest.int "every call executed" 101_000
+          (T.counter "portal.echo.executions");
+        if grew >= 10_000 then
+          Alcotest.failf "live heap grew by %d words over 100k misses" grew);
+    tc "the profiler samples only live domains" (fun () ->
+        fresh ();
+        Prof.reset ();
+        for _ = 1 to 5 do
+          let srv =
+            Server.start
+              ~config:{ Server.default_config with Server.workers = 2 }
+              ()
+          in
+          Server.stop srv
+        done;
+        Prof.tick ();
+        (* every worker has exited: only the calling domain is left *)
+        check Alcotest.int "one sample" 1 (Prof.samples ());
+        check
+          Alcotest.(list (pair string int))
+          "the caller, idle" [ ("idle", 1) ] (Prof.folded ()));
+  ]
+
 let stress_tests =
   [
     tc "8 domains x 200 submissions match the sequential oracle" (fun () ->
@@ -743,5 +887,6 @@ let () =
       ("wire-trace", wire_tests);
       ("cache-shards", shard_tests);
       ("telemetry-merge", merge_tests);
+      ("timeline", timeline_tests);
       ("stress", stress_tests);
     ]
